@@ -47,11 +47,11 @@ fn bench_memtable(c: &mut Criterion) {
 
 fn bench_run_probe(c: &mut Criterion) {
     let disk = SimulatedDisk::new(4096, CostModel::FREE);
-    let mut builder = RunBuilder::new(1, 4096, 8.0);
+    let mut builder = RunBuilder::new(1, disk.clone(), 8.0);
     for i in 0..10_000u64 {
         builder.push(KvEntry::put(key(i * 2), vec![1u8; 112], i));
     }
-    let run = builder.finish(disk.as_ref(), u64::MAX).unwrap();
+    let run = builder.finish(u64::MAX).unwrap();
     let mut i = 0u64;
     c.bench_function("run_probe_hit", |b| {
         b.iter(|| {

@@ -11,17 +11,21 @@
 //! The engine core is **sharded**: [`sharded::ShardedRusKey`] hash-partitions
 //! the key space onto `N` independent [FLSM-trees](ruskey_lsm::FlsmTree)
 //! (each with its own memtable and levels) sharing one storage device.
-//! Missions execute in parallel — one scoped OS thread per shard, operations
-//! routed by the stable key hash of [`ruskey_workload::routing`]; cross-shard
-//! range scans are k-way merged. Tuning stays global and works exactly as in
-//! the paper:
+//! Missions execute in parallel on the store's persistent **worker pool** —
+//! one long-lived OS thread per shard — with operations routed by the stable
+//! key hash of [`ruskey_workload::routing`]; cross-shard range scans are
+//! k-way merged. Tuning follows the store's
+//! [`TunerStrategy`](sharded::TunerStrategy):
 //!
-//! 1. per-shard statistics merge into one store-wide
-//!    [`ruskey_lsm::TreeStatsSnapshot`], from which the [`stats`] collector
-//!    builds the mission's [`MissionReport`];
-//! 2. a single tuner observes the aggregated report and tree structure;
-//! 3. its per-level policy changes fan out to every shard, applied via the
-//!    configured flexible transition (§4).
+//! * `Global` (the default) works exactly as in the paper: per-shard
+//!   statistics merge into one store-wide [`ruskey_lsm::TreeStatsSnapshot`],
+//!   from which the [`stats`] collector builds the mission's
+//!   [`MissionReport`]; a single tuner observes the aggregated report and
+//!   tree structure; its per-level policy changes fan out to every shard,
+//!   applied via the configured flexible transition (§4);
+//! * `PerShard` gives every shard its own tuner, fed by that shard's exact
+//!   reward slice and observation, so policies may diverge under skew; at
+//!   `N = 1` it is the global loop.
 //!
 //! Accounting under parallelism is exact: every shard runs on its own
 //! **time domain** (a [`ruskey_storage::ShardStorage`] view with a private

@@ -43,8 +43,15 @@ fn fnv1a64(data: &[u8], seed: u64) -> u64 {
     h ^ (h >> 31)
 }
 
+/// The `(h1, h2)` double-hashing pair of a key: all a filter needs of it.
+/// A streaming run builder keeps these 16 bytes per key instead of the
+/// key itself, and [`Bloom::from_hashes`] builds the same filter from them.
+pub fn key_hashes(key: &[u8]) -> (u64, u64) {
+    (fnv1a64(key, 0x51_7c_c1_b7), fnv1a64(key, 0x85_eb_ca_6b) | 1)
+}
+
 /// A Bloom filter over a fixed set of keys.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bloom {
     bits: Vec<u64>,
     nbits: u64,
@@ -62,6 +69,29 @@ impl Bloom {
         n_keys: usize,
         bits_per_key: f64,
     ) -> Self {
+        let mut filter = Self::empty(n_keys, bits_per_key);
+        if filter.nbits > 0 {
+            for key in keys {
+                filter.insert(key_hashes(key));
+            }
+        }
+        filter
+    }
+
+    /// Builds the filter [`Bloom::build`] would build over the keys whose
+    /// [`key_hashes`] these are — bit for bit, without the keys.
+    pub fn from_hashes(hashes: &[(u64, u64)], bits_per_key: f64) -> Self {
+        let mut filter = Self::empty(hashes.len(), bits_per_key);
+        if filter.nbits > 0 {
+            for &h in hashes {
+                filter.insert(h);
+            }
+        }
+        filter
+    }
+
+    /// A filter sized for `n_keys` with nothing inserted yet.
+    fn empty(n_keys: usize, bits_per_key: f64) -> Self {
         if bits_per_key <= 0.0 || n_keys == 0 {
             return Self {
                 bits: Vec::new(),
@@ -72,21 +102,15 @@ impl Bloom {
         }
         let nbits = ((n_keys as f64 * bits_per_key).ceil() as u64).max(64);
         let k = ((bits_per_key * std::f64::consts::LN_2).round() as u32).clamp(1, 30);
-        let mut filter = Self {
+        Self {
             bits: vec![0u64; nbits.div_ceil(64) as usize],
             nbits,
             k,
             keys: n_keys as u64,
-        };
-        for key in keys {
-            filter.insert(key);
         }
-        filter
     }
 
-    fn insert(&mut self, key: &[u8]) {
-        let h1 = fnv1a64(key, 0x51_7c_c1_b7);
-        let h2 = fnv1a64(key, 0x85_eb_ca_6b) | 1;
+    fn insert(&mut self, (h1, h2): (u64, u64)) {
         for i in 0..self.k as u64 {
             let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits;
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
@@ -98,8 +122,7 @@ impl Bloom {
         if self.nbits == 0 {
             return true; // zero-memory filter: always positive
         }
-        let h1 = fnv1a64(key, 0x51_7c_c1_b7);
-        let h2 = fnv1a64(key, 0x85_eb_ca_6b) | 1;
+        let (h1, h2) = key_hashes(key);
         for i in 0..self.k as u64 {
             let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.nbits;
             if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
@@ -128,6 +151,22 @@ impl Bloom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The hash-pair path a streaming run builder takes produces the
+        /// exact filter of the key path, at every budget including zero.
+        #[test]
+        fn hash_pair_filter_equals_key_filter(
+            keys in prop::collection::btree_set(prop::collection::vec(any::<u8>(), 0..24), 0..300),
+            bits_idx in 0usize..6,
+        ) {
+            let bits = [0.0, 0.5, 1.0, 4.0, 7.3, 10.0][bits_idx];
+            let by_key = Bloom::build(keys.iter().map(|k| k.as_slice()), keys.len(), bits);
+            let hashes: Vec<(u64, u64)> = keys.iter().map(|k| key_hashes(k)).collect();
+            prop_assert_eq!(Bloom::from_hashes(&hashes, bits), by_key);
+        }
+    }
 
     fn key(i: u64) -> [u8; 8] {
         i.to_be_bytes()

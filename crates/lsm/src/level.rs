@@ -101,13 +101,20 @@ impl Level {
         self.active.iter().chain(self.sealed.iter().rev())
     }
 
-    /// Removes and returns all runs (active first sealed last — age does not
-    /// matter for a full merge, sequence numbers resolve versions).
-    pub fn take_all_runs(&mut self) -> Vec<Arc<Run>> {
-        let mut runs: Vec<Arc<Run>> = self.active.take().into_iter().collect();
-        runs.append(&mut self.sealed);
-        self.bounds = None;
-        runs
+    /// All runs, active first then sealed oldest first — the input order
+    /// of a whole-level merge (sequence numbers resolve versions).
+    pub fn all_runs(&self) -> Vec<Arc<Run>> {
+        self.active.iter().chain(&self.sealed).cloned().collect()
+    }
+
+    /// Removes a resident run (active or sealed) by id. The caller
+    /// refreshes the bounds.
+    pub fn remove_run(&mut self, id: crate::run::RunId) -> Option<Arc<Run>> {
+        if self.active.as_ref().is_some_and(|r| r.id() == id) {
+            return self.active.take();
+        }
+        let pos = self.sealed.iter().position(|r| r.id() == id)?;
+        Some(self.sealed.remove(pos))
     }
 
     /// Recomputes the cached aggregate bounds from the resident runs.

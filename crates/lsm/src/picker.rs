@@ -165,15 +165,15 @@ mod tests {
     use crate::run::RunBuilder;
     use crate::types::KvEntry;
     use bytes::Bytes;
-    use ruskey_storage::{CostModel, SimulatedDisk, Storage};
+    use ruskey_storage::{CostModel, SimulatedDisk};
 
     fn key(i: u64) -> Bytes {
         Bytes::from(format!("key-{i:06}"))
     }
 
     /// A run spanning `[lo, hi]` with one filler entry per step of 2.
-    fn run_in(storage: &dyn Storage, id: u64, lo: u64, hi: u64) -> Arc<Run> {
-        let mut b = RunBuilder::new(id, storage.page_size(), 8.0);
+    fn run_in(storage: &Arc<SimulatedDisk>, id: u64, lo: u64, hi: u64) -> Arc<Run> {
+        let mut b = RunBuilder::new(id, storage.clone(), 8.0);
         let mut i = lo;
         let mut seq = 1;
         while i < hi {
@@ -182,7 +182,7 @@ mod tests {
             i += 2;
         }
         b.push(KvEntry::put(key(hi), Bytes::from_static(b"v"), seq));
-        Arc::new(b.finish(storage, u64::MAX).unwrap())
+        Arc::new(b.finish(u64::MAX).unwrap())
     }
 
     fn level_with(index: usize, capacity: u64, sealed: Vec<Arc<Run>>) -> Level {
@@ -197,8 +197,8 @@ mod tests {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let p = CompactionPicker::default();
         // Level 0 barely filled, level 1 grossly over capacity.
-        let l0 = level_with(0, 1 << 30, vec![run_in(disk.as_ref(), 1, 0, 10)]);
-        let big = run_in(disk.as_ref(), 2, 0, 400);
+        let l0 = level_with(0, 1 << 30, vec![run_in(&disk, 1, 0, 10)]);
+        let big = run_in(&disk, 2, 0, 400);
         let l1 = level_with(1, big.data_bytes() / 2, vec![big]);
         assert!(p.level_score(&l0) < SCORE_SCALE);
         assert!(p.level_score(&l1) >= SCORE_SCALE);
@@ -214,7 +214,7 @@ mod tests {
         // Capacity far above the data: bytes alone would never trigger,
         // but 5 runs against an L0 limit of 4 must.
         let sealed: Vec<Arc<Run>> = (0..5)
-            .map(|i| run_in(disk.as_ref(), i + 1, i * 100, i * 100 + 50))
+            .map(|i| run_in(&disk, i + 1, i * 100, i * 100 + 50))
             .collect();
         let l0 = level_with(0, 1 << 30, sealed);
         assert!(p.level_score(&l0) >= SCORE_SCALE);
@@ -226,7 +226,7 @@ mod tests {
     fn quiescent_levels_pick_nothing() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let p = CompactionPicker::default();
-        let l0 = level_with(0, 1 << 30, vec![run_in(disk.as_ref(), 1, 0, 10)]);
+        let l0 = level_with(0, 1 << 30, vec![run_in(&disk, 1, 0, 10)]);
         // A full level with no sealed runs is not pickable either.
         let mut l1 = Level::new(1, 1, 1);
         l1.refresh_bounds();
@@ -237,8 +237,8 @@ mod tests {
     fn disjoint_runs_are_a_trivial_move() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let p = CompactionPicker::default();
-        let l0 = level_with(0, 1, vec![run_in(disk.as_ref(), 1, 0, 99)]);
-        let l1 = level_with(1, 1 << 30, vec![run_in(disk.as_ref(), 2, 200, 299)]);
+        let l0 = level_with(0, 1, vec![run_in(&disk, 1, 0, 99)]);
+        let l1 = level_with(1, 1 << 30, vec![run_in(&disk, 2, 200, 299)]);
         let pick = p.pick(&[l0, l1]).unwrap();
         assert_eq!(pick.level, 0);
         assert!(pick.trivial, "no overlap at the target level");
@@ -250,14 +250,7 @@ mod tests {
         let p = CompactionPicker::default();
         // Both runs are disjoint from the (empty) target, but moving two
         // mutually redundant runs would only relocate the merge debt.
-        let l0 = level_with(
-            0,
-            1,
-            vec![
-                run_in(disk.as_ref(), 1, 0, 99),
-                run_in(disk.as_ref(), 2, 0, 99),
-            ],
-        );
+        let l0 = level_with(0, 1, vec![run_in(&disk, 1, 0, 99), run_in(&disk, 2, 0, 99)]);
         let l1 = level_with(1, 1 << 30, vec![]);
         let pick = p.pick(&[l0, l1]).unwrap();
         assert!(!pick.trivial, "a multi-run level must merge, not move");
@@ -267,8 +260,8 @@ mod tests {
     fn target_overlap_disqualifies_a_trivial_move() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
         let p = CompactionPicker::default();
-        let l0 = level_with(0, 1, vec![run_in(disk.as_ref(), 1, 0, 99)]);
-        let l1 = level_with(1, 1 << 30, vec![run_in(disk.as_ref(), 2, 50, 150)]);
+        let l0 = level_with(0, 1, vec![run_in(&disk, 1, 0, 99)]);
+        let l1 = level_with(1, 1 << 30, vec![run_in(&disk, 2, 50, 150)]);
         let pick = p.pick(&[l0, l1]).unwrap();
         assert_eq!(pick.level, 0);
         assert!(!pick.trivial, "target-level overlap forces a merge");
@@ -277,9 +270,9 @@ mod tests {
     #[test]
     fn grandparent_overlap_bounds_a_trivial_move() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let l0 = level_with(0, 1, vec![run_in(disk.as_ref(), 1, 0, 99)]);
-        let l1 = level_with(1, 1 << 30, vec![run_in(disk.as_ref(), 2, 200, 299)]);
-        let gp_run = run_in(disk.as_ref(), 3, 0, 99);
+        let l0 = level_with(0, 1, vec![run_in(&disk, 1, 0, 99)]);
+        let l1 = level_with(1, 1 << 30, vec![run_in(&disk, 2, 200, 299)]);
+        let gp_run = run_in(&disk, 3, 0, 99);
         let gp_bytes = gp_run.data_bytes();
         let l2 = level_with(2, 1 << 30, vec![gp_run]);
         assert_eq!(overlap_bytes(&l0.sealed, &l2), gp_bytes);

@@ -9,9 +9,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ruskey_storage::{Extent, Storage};
+use ruskey_storage::{Extent, IoCharge, Storage};
 
-use crate::bloom::Bloom;
+use crate::bloom::{key_hashes, Bloom};
 use crate::entry::{self, PAGE_HEADER_BYTES};
 use crate::fence::FencePointers;
 use crate::types::{Key, KvEntry, SeqNo};
@@ -160,6 +160,13 @@ impl Run {
         RunIterator::new(self.extent, storage, 0)
     }
 
+    /// [`Run::iter`] that adds the cost of every page it reads to `tally`.
+    pub fn iter_tallied(&self, storage: Arc<dyn Storage>, tally: Arc<ReadTally>) -> RunIterator {
+        let mut it = RunIterator::new(self.extent, storage, 0);
+        it.tally = Some(tally);
+        it
+    }
+
     /// Iterator positioned at the first entry with key `>= start`.
     pub fn iter_from(&self, storage: Arc<dyn Storage>, start: &[u8]) -> RunIterator {
         let page = self.fences.seek_page(start);
@@ -195,8 +202,11 @@ impl Run {
             id: rec.extent_id,
             pages: rec.pages,
         };
+        // Fence keys are copied out of the pages, and the Bloom filter is
+        // built from hash pairs, so no decoded page outlives its loop turn.
         let mut first_keys: Vec<Key> = Vec::with_capacity(rec.pages as usize);
-        let mut keys: Vec<Key> = Vec::with_capacity(rec.entry_count as usize);
+        let mut hashes: Vec<(u64, u64)> = Vec::with_capacity(rec.entry_count as usize);
+        let mut last_key: Vec<u8> = Vec::new();
         let mut data_bytes = 0u64;
         let mut max_seq: SeqNo = 0;
         let mut buf = Vec::with_capacity(storage.page_size());
@@ -209,30 +219,30 @@ impl Run {
             })?;
             let entries = entry::decode_page(std::mem::take(&mut buf));
             if let Some(first) = entries.first() {
-                first_keys.push(first.key.clone());
+                first_keys.push(Key::copy_from_slice(&first.key));
             }
             for e in entries {
-                if keys.last().is_some_and(|last| *last >= e.key) {
+                if !hashes.is_empty() && last_key.as_slice() >= e.key.as_ref() {
                     return Err(corrupt_run(rec, "keys out of order"));
                 }
                 data_bytes += e.encoded_size() as u64;
                 max_seq = max_seq.max(e.seq);
-                keys.push(e.key);
+                hashes.push(key_hashes(&e.key));
+                last_key.clear();
+                last_key.extend_from_slice(&e.key);
             }
         }
-        let bounds_ok = keys.first() == Some(&rec.min_key) && keys.last() == Some(&rec.max_key);
-        if keys.len() as u64 != rec.entry_count
+        let bounds_ok = first_keys.first() == Some(&rec.min_key)
+            && !hashes.is_empty()
+            && last_key.as_slice() == rec.max_key.as_ref();
+        if hashes.len() as u64 != rec.entry_count
             || data_bytes != rec.data_bytes
             || max_seq != rec.max_seq
             || !bounds_ok
         {
             return Err(corrupt_run(rec, "pages disagree with the manifest record"));
         }
-        let bloom = Bloom::build(
-            keys.iter().map(|k| k.as_ref()),
-            keys.len(),
-            rec.bloom_bits_per_key,
-        );
+        let bloom = Bloom::from_hashes(&hashes, rec.bloom_bits_per_key);
         Ok(Run {
             id: rec.run_id,
             extent,
@@ -255,6 +265,33 @@ fn corrupt_run(rec: &crate::manifest::RunRecord, what: &str) -> std::io::Error {
     )
 }
 
+/// The page reads a group of [`RunIterator`]s issued, summed as they
+/// happen: a merge interleaving reads of several levels uses it to bill
+/// each level exactly the reads of its own runs.
+#[derive(Debug, Default)]
+pub struct ReadTally {
+    ns: AtomicU64,
+    pages_read: AtomicU64,
+}
+
+impl ReadTally {
+    fn add(&self, charge: &IoCharge) {
+        self.ns.fetch_add(charge.ns, Ordering::Relaxed);
+        self.pages_read
+            .fetch_add(charge.io.pages_read, Ordering::Relaxed);
+    }
+
+    /// Virtual ns the reads charged.
+    pub fn ns(&self) -> u64 {
+        self.ns.load(Ordering::Relaxed)
+    }
+
+    /// Device page reads (cache hits excluded).
+    pub fn pages_read(&self) -> u64 {
+        self.pages_read.load(Ordering::Relaxed)
+    }
+}
+
 /// Streams a run's entries in key order, reading one page at a time.
 pub struct RunIterator {
     extent: Extent,
@@ -262,6 +299,7 @@ pub struct RunIterator {
     next_page: u32,
     current: std::vec::IntoIter<KvEntry>,
     peeked: Option<KvEntry>,
+    tally: Option<Arc<ReadTally>>,
 }
 
 impl RunIterator {
@@ -272,14 +310,19 @@ impl RunIterator {
             next_page: start_page,
             current: Vec::new().into_iter(),
             peeked: None,
+            tally: None,
         }
     }
 
     fn refill(&mut self) -> bool {
         while self.next_page < self.extent.pages {
             let mut buf = Vec::with_capacity(self.storage.page_size());
-            self.storage
+            let charge = self
+                .storage
                 .read_page(self.extent, self.next_page, &mut buf);
+            if let Some(tally) = &self.tally {
+                tally.add(&charge);
+            }
             self.next_page += 1;
             let entries = entry::decode_page(buf);
             if !entries.is_empty() {
@@ -330,74 +373,100 @@ impl Iterator for RunIterator {
     }
 }
 
-/// Builds a run from entries supplied in strictly ascending key order.
+/// Streams entries supplied in strictly ascending key order into a new
+/// run. Each page goes to storage the moment it fills (the extent starts
+/// empty and grows), so the builder holds one page buffer, one 16-byte
+/// Bloom hash pair per key, and one copied fence key per page — never an
+/// input page, whatever produced the entries.
 pub struct RunBuilder {
     id: RunId,
+    storage: Arc<dyn Storage>,
     page_size: usize,
     bits_per_key: f64,
-    pages: Vec<Vec<u8>>,
+    /// The output extent, allocated when the first page is written.
+    extent: Option<Extent>,
     current: Vec<u8>,
     first_keys: Vec<Key>,
-    keys: Vec<Key>,
+    hashes: Vec<(u64, u64)>,
     data_bytes: u64,
     min_key: Option<Key>,
-    max_key: Option<Key>,
+    /// The last key pushed, copied into a reused buffer.
+    last_key: Vec<u8>,
     max_seq: SeqNo,
 }
 
 impl RunBuilder {
-    /// Starts a builder. `bits_per_key` controls the Bloom filter (0 = none).
-    pub fn new(id: RunId, page_size: usize, bits_per_key: f64) -> Self {
+    /// Starts a builder writing to `storage`. `bits_per_key` controls the
+    /// Bloom filter (0 = none).
+    pub fn new(id: RunId, storage: Arc<dyn Storage>, bits_per_key: f64) -> Self {
+        let page_size = storage.page_size();
         assert!(page_size > PAGE_HEADER_BYTES + crate::entry::ENTRY_HEADER_BYTES);
         Self {
             id,
+            storage,
             page_size,
             bits_per_key,
-            pages: Vec::new(),
-            current: Vec::new(),
+            extent: None,
+            current: Vec::with_capacity(page_size),
             first_keys: Vec::new(),
-            keys: Vec::new(),
+            hashes: Vec::new(),
             data_bytes: 0,
             min_key: None,
-            max_key: None,
+            last_key: Vec::new(),
             max_seq: 0,
         }
     }
 
-    /// Appends an entry. Panics if keys are not strictly ascending or the
+    /// Reserves room for `keys` more entries' hash pairs up front, so a
+    /// caller that knows an upper bound avoids growing the buffer.
+    pub fn reserve(&mut self, keys: usize) {
+        self.hashes.reserve_exact(keys);
+    }
+
+    /// Appends an entry, writing out the current page if the entry does
+    /// not fit in it. Panics if keys are not strictly ascending or the
     /// entry cannot fit in an empty page.
     pub fn push(&mut self, e: KvEntry) {
-        if let Some(last) = &self.max_key {
-            assert!(e.key > *last, "RunBuilder keys must be strictly ascending");
+        if self.hashes.is_empty() {
+            self.min_key = Some(Key::copy_from_slice(&e.key));
+        } else {
+            assert!(
+                e.key.as_ref() > self.last_key.as_slice(),
+                "RunBuilder keys must be strictly ascending"
+            );
         }
-        if self.min_key.is_none() {
-            self.min_key = Some(e.key.clone());
-        }
-        self.max_key = Some(e.key.clone());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(&e.key);
         self.max_seq = self.max_seq.max(e.seq);
         self.data_bytes += e.encoded_size() as u64;
-        self.keys.push(e.key.clone());
-        if self.current.is_empty() {
-            self.first_keys.push(e.key.clone());
+        self.hashes.push(key_hashes(&e.key));
+        if !self.current.is_empty() && !entry::append_entry(&mut self.current, &e, self.page_size) {
+            self.write_page();
         }
-        if !entry::append_entry(&mut self.current, &e, self.page_size) {
-            assert!(!self.current.is_empty(), "entry larger than a page");
-            let full = std::mem::take(&mut self.current);
-            self.pages.push(full);
-            self.first_keys.push(e.key.clone());
+        if self.current.is_empty() {
+            self.first_keys.push(Key::copy_from_slice(&e.key));
             let ok = entry::append_entry(&mut self.current, &e, self.page_size);
             assert!(ok, "entry larger than a page");
         }
     }
 
+    /// Appends the current page to the output extent and clears it.
+    fn write_page(&mut self) {
+        let storage = &self.storage;
+        let ext = self.extent.get_or_insert_with(|| storage.allocate(0));
+        storage.write_page(*ext, ext.pages, &self.current);
+        ext.pages += 1;
+        self.current.clear();
+    }
+
     /// Number of entries added so far.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.hashes.len()
     }
 
     /// True if nothing was added.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.hashes.is_empty()
     }
 
     /// Logical bytes accumulated so far.
@@ -405,44 +474,28 @@ impl RunBuilder {
         self.data_bytes
     }
 
-    /// Writes the pages to `storage` (charging write I/O), builds the Bloom
-    /// filter and fence pointers, and returns the finished run.
+    /// Writes the last page, builds the Bloom filter and fence pointers,
+    /// and returns the finished run.
     ///
     /// `capacity_bytes` is the FLSM per-run capacity recorded on the run.
-    /// Returns `None` if no entries were pushed.
-    pub fn finish(mut self, storage: &dyn Storage, capacity_bytes: u64) -> Option<Run> {
-        if self.keys.is_empty() {
+    /// Returns `None` if no entries were pushed (nothing was allocated).
+    pub fn finish(mut self, capacity_bytes: u64) -> Option<Run> {
+        if self.hashes.is_empty() {
             return None;
         }
-        if !self.current.is_empty() {
-            let last = std::mem::take(&mut self.current);
-            self.pages.push(last);
-        } else {
-            // The last first_key belongs to a page that was never started.
-            if self.first_keys.len() > self.pages.len() {
-                self.first_keys.pop();
-            }
-        }
-        debug_assert_eq!(self.first_keys.len(), self.pages.len());
-        let extent = storage.allocate(self.pages.len() as u32);
-        for (i, page) in self.pages.iter().enumerate() {
-            storage.write_page(extent, i as u32, page);
-        }
-        let bloom = Bloom::build(
-            self.keys.iter().map(|k| k.as_ref()),
-            self.keys.len(),
-            self.bits_per_key,
-        );
+        self.write_page();
+        let extent = self.extent.expect("a non-empty run wrote a page");
+        debug_assert_eq!(self.first_keys.len(), extent.pages as usize);
         Some(Run {
             id: self.id,
             extent,
-            bloom,
+            bloom: Bloom::from_hashes(&self.hashes, self.bits_per_key),
             fences: FencePointers::new(self.first_keys),
-            entry_count: self.keys.len() as u64,
+            entry_count: self.hashes.len() as u64,
             data_bytes: self.data_bytes,
             capacity_bytes: AtomicU64::new(capacity_bytes),
-            min_key: self.min_key.unwrap(),
-            max_key: self.max_key.unwrap(),
+            min_key: self.min_key.expect("a non-empty run has a min key"),
+            max_key: Key::copy_from_slice(&self.last_key),
             max_seq: self.max_seq,
         })
     }
@@ -462,18 +515,18 @@ mod tests {
         Bytes::from(format!("value-{i:06}"))
     }
 
-    fn build_run(storage: &dyn Storage, n: u64, bits: f64) -> Run {
-        let mut b = RunBuilder::new(1, storage.page_size(), bits);
+    fn build_run(storage: &Arc<SimulatedDisk>, n: u64, bits: f64) -> Run {
+        let mut b = RunBuilder::new(1, storage.clone(), bits);
         for i in 0..n {
             b.push(KvEntry::put(key(i * 2), value(i), i + 1));
         }
-        b.finish(storage, u64::MAX).unwrap()
+        b.finish(u64::MAX).unwrap()
     }
 
     #[test]
     fn probe_finds_every_key() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 100, 10.0);
+        let run = build_run(&disk, 100, 10.0);
         for i in 0..100 {
             let r = run.probe(disk.as_ref(), &key(i * 2));
             match r.outcome {
@@ -486,7 +539,7 @@ mod tests {
     #[test]
     fn probe_out_of_range_costs_nothing() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 10, 10.0);
+        let run = build_run(&disk, 10, 10.0);
         let before = disk.metrics().pages_read;
         let r = run.probe(disk.as_ref(), &key(1_000_000));
         assert_eq!(r.outcome, ProbeOutcome::FilteredOut);
@@ -496,7 +549,7 @@ mod tests {
     #[test]
     fn probe_missing_key_in_range() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 100, 10.0);
+        let run = build_run(&disk, 100, 10.0);
         // Odd keys are absent; with bits=10 most probes are filtered, any
         // bloom positive must come back as FalsePositive, never Found.
         for i in 0..100 {
@@ -514,7 +567,7 @@ mod tests {
     #[test]
     fn iterator_streams_in_order() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 50, 10.0);
+        let run = build_run(&disk, 50, 10.0);
         let entries: Vec<KvEntry> = run.iter(disk.clone() as Arc<dyn Storage>).collect();
         assert_eq!(entries.len(), 50);
         for w in entries.windows(2) {
@@ -527,7 +580,7 @@ mod tests {
     #[test]
     fn seeked_iterator_starts_at_bound() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 50, 10.0);
+        let run = build_run(&disk, 50, 10.0);
         // Seek to key 31 (absent): first yielded must be 32.
         let it = run.iter_from(disk.clone() as Arc<dyn Storage>, &key(31));
         let first = it.take(1).next().unwrap();
@@ -540,7 +593,7 @@ mod tests {
     #[test]
     fn metadata_and_counters() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 100, 8.0);
+        let run = build_run(&disk, 100, 8.0);
         assert_eq!(run.entry_count(), 100);
         assert!(run.page_count() > 1);
         assert!(run.data_bytes() > 0);
@@ -553,23 +606,41 @@ mod tests {
     #[test]
     fn destroy_frees_pages() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 20, 8.0);
+        let run = build_run(&disk, 20, 8.0);
         assert!(disk.live_pages() > 0);
         run.destroy(disk.as_ref());
         assert_eq!(disk.live_pages(), 0);
     }
 
+    /// The builder streams: full pages reach storage before `finish`, and
+    /// the finished run's extent is exactly what the device holds.
+    #[test]
+    fn builder_writes_pages_as_they_fill() {
+        let disk = SimulatedDisk::new(256, CostModel::FREE);
+        let mut b = RunBuilder::new(1, disk.clone(), 8.0);
+        for i in 0..100 {
+            b.push(KvEntry::put(key(i * 2), value(i), i + 1));
+        }
+        let streamed = disk.metrics().pages_written;
+        assert!(streamed > 1, "full pages must be written before finish");
+        let run = b.finish(u64::MAX).unwrap();
+        assert_eq!(disk.metrics().pages_written, streamed + 1);
+        assert_eq!(disk.live_pages(), run.page_count() as u64);
+        assert_eq!(disk.live_extents(), 1);
+    }
+
     #[test]
     fn empty_builder_returns_none() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let b = RunBuilder::new(1, 256, 8.0);
-        assert!(b.finish(disk.as_ref(), 0).is_none());
+        let b = RunBuilder::new(1, disk.clone(), 8.0);
+        assert!(b.finish(0).is_none());
+        assert_eq!(disk.live_extents(), 0, "an empty build allocates nothing");
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn unsorted_push_panics() {
-        let mut b = RunBuilder::new(1, 256, 8.0);
+        let mut b = RunBuilder::new(1, SimulatedDisk::new(256, CostModel::FREE), 8.0);
         b.push(KvEntry::put(key(5), value(5), 1));
         b.push(KvEntry::put(key(3), value(3), 2));
     }
@@ -581,7 +652,7 @@ mod tests {
     #[test]
     fn recover_rebuilds_an_identical_run() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 80, 8.0);
+        let run = build_run(&disk, 80, 8.0);
         let rec = crate::manifest::RunRecord {
             run_id: run.id(),
             extent_id: run.extent().id,
@@ -616,7 +687,7 @@ mod tests {
     #[test]
     fn zero_bits_run_still_correct() {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let run = build_run(disk.as_ref(), 30, 0.0);
+        let run = build_run(&disk, 30, 0.0);
         let r = run.probe(disk.as_ref(), &key(4));
         assert!(matches!(r.outcome, ProbeOutcome::Found(_)));
         // In-range misses always pay a page read without a filter.

@@ -11,26 +11,39 @@ use crate::level::Level;
 use crate::manifest::{Manifest, ManifestEdit, RunRecord};
 use crate::memtable::Memtable;
 use crate::picker::{CompactionPicker, PickerConfig, SCORE_SCALE};
-use crate::run::{ProbeOutcome, Run, RunBuilder, RunId};
+use crate::run::{ProbeOutcome, ReadTally, Run, RunBuilder, RunId};
 use crate::stats::{LevelStats, TreeStatsSnapshot};
 use crate::transition::TransitionStrategy;
 use crate::types::{Key, KvEntry, SeqNo, Value};
 use crate::wal::Wal;
 
-/// A deferred merge built by a background maintenance step and applied
-/// by a later one: the merged batch waits in memory while the input runs
-/// stay resident (and readable) in their level. Crash-safe by
-/// construction — nothing structural happens until the apply step logs
-/// and commits the edit batch.
-struct PendingCompaction {
-    /// Level whose sealed runs were merged.
-    level: usize,
-    /// The sealed runs consumed by the merge, pinned so a concurrent
-    /// retire cannot free their extents. Apply revalidates that each is
-    /// still resident (a greedy transition may have consumed them).
+/// What a merge streams into a level together with the level's own
+/// active run.
+enum Upper {
+    /// A flush: the memtable's entries, sorted and duplicate-free.
+    Batch(EntrySource),
+    /// A merge down: runs of the level above the target.
+    Runs(Vec<Arc<Run>>),
+}
+
+/// A merge streamed into its output run but not yet part of the tree:
+/// the output's pages are written and fsynced, and nothing structural
+/// has changed. [`FlsmTree::apply_merge`] logs the edits; until then the
+/// inputs stay resident and readable. A background build waits here
+/// between maintenance steps, so apply revalidates it first — and frees
+/// the output at once if the structure moved underneath.
+struct BuiltMerge {
+    /// Level receiving the output.
+    target: usize,
+    /// The upper level's runs the merge consumed (none for a flush),
+    /// pinned so a concurrent retire cannot free their extents.
     inputs: Vec<Arc<Run>>,
-    /// The merged output, ready to admit into `level + 1`.
-    batch: Vec<KvEntry>,
+    /// The target's active run as of the build — merged into the output.
+    replaced: Option<Arc<Run>>,
+    /// Whether the target was the bottom level, so tombstones were dropped.
+    bottom: bool,
+    /// The output; `None` when every entry was a dropped tombstone.
+    output: Option<Arc<Run>>,
 }
 
 /// A cheap, immutable view of the tree's on-disk run structure.
@@ -162,7 +175,7 @@ pub struct FlsmTree {
     retired: Vec<Arc<Run>>,
     /// A background merge built but not yet applied (see
     /// [`FlsmTree::step_maintenance`]).
-    pending_compaction: Option<PendingCompaction>,
+    pending_compaction: Option<BuiltMerge>,
     /// Virtual ns the write path spent blocked on structural work
     /// (flushes triggered by `put`/`delete`, backpressure stalls).
     stall_ns: u64,
@@ -610,7 +623,7 @@ impl FlsmTree {
         }
         let batch = self.memtable.drain_sorted();
         self.flushes += 1;
-        self.admit_batch(0, batch);
+        self.admit_batch(0, Box::new(batch.into_iter()));
         let seq = self.seq;
         self.log_edit(ManifestEdit::SeqWatermark { seq });
         self.commit_manifest();
@@ -851,131 +864,194 @@ impl FlsmTree {
         self.bounds.as_ref().map(|(lo, hi)| (lo, hi))
     }
 
-    /// Admits a sorted batch (from a flush or an upper-level merge) into the
+    /// Admits a sorted, duplicate-free batch (a memtable flush) into the
     /// active run of level `idx`, then cascades if the level became full.
-    fn admit_batch(&mut self, idx: usize, batch: Vec<KvEntry>) {
-        if batch.is_empty() {
+    fn admit_batch(&mut self, idx: usize, batch: EntrySource) {
+        let built = self.build_merge(idx, Upper::Batch(batch));
+        self.apply_merge(built);
+    }
+
+    /// Merges every run of level `idx` into level `idx + 1` right away —
+    /// the inline cascade and the greedy transition. Adopts any pending
+    /// (lazy) policy of the emptied level.
+    fn merge_now(&mut self, idx: usize) {
+        let inputs = self.levels[idx].all_runs();
+        if inputs.is_empty() {
+            self.adopt_pending_policy(idx);
             return;
         }
-        self.ensure_level(idx);
+        let built = self.build_merge(idx + 1, Upper::Runs(inputs));
+        self.apply_merge(built);
+    }
+
+    /// Tombstones may be dropped by a merge into `target` only when its
+    /// output will be the *only* data at the deepest populated depth: no
+    /// sealed runs remain there and nothing lives below, so no older
+    /// version of any key can resurface.
+    fn is_bottom(&self, target: usize) -> bool {
+        self.levels[target].sealed.is_empty()
+            && self.levels[target + 1..].iter().all(|l| l.run_count() == 0)
+    }
+
+    /// The one merge routine: streams `upper` together with level
+    /// `target`'s active run straight into a new run, page by page. Memory
+    /// is one page per source plus the builder's page and per-key hash
+    /// pairs; no merged level is ever held. The output is written and
+    /// fsynced, but nothing structural changes until
+    /// [`FlsmTree::apply_merge`].
+    ///
+    /// The upper runs are merged among themselves first (tombstones kept),
+    /// and that stream is merged with the active run — the two-stage merge
+    /// the virtual cost model charges: `cpu_merge_per_key_ns` for every
+    /// entry read from the upper runs plus every entry of the second
+    /// stage. Level `target - 1` is billed the reads of its own runs and
+    /// its stage's CPU; level `target` everything else (active-run reads,
+    /// its CPU, all writes, the fsync).
+    fn build_merge(&mut self, target: usize, upper: Upper) -> BuiltMerge {
+        self.ensure_level(target);
         let t0 = self.storage.clock().now();
         let m0 = self.storage.metrics();
-
-        // Tombstones may be dropped only when the merge output will be the
-        // *only* data at the deepest populated depth: no sealed runs remain
-        // in this level and nothing lives below, so no older version of any
-        // key can resurface.
-        let is_bottom = self.levels[idx].sealed.is_empty()
-            && self.levels[idx + 1..].iter().all(|l| l.run_count() == 0);
-        let bits = self.cfg.bloom.bits_for_level(idx, self.cfg.size_ratio);
-        let active_cap = self.levels[idx].active_capacity();
-        let old_active = self.levels[idx].active.take();
-
+        let bottom = self.is_bottom(target);
+        let bits = self.cfg.bloom.bits_for_level(target, self.cfg.size_ratio);
+        let replaced = self.levels[target].active.clone();
+        let tally = Arc::new(ReadTally::default());
+        let mut expected_keys = replaced.as_ref().map_or(0, |r| r.entry_count()) as usize;
+        let (inputs, upper_keys, upper_source): (Vec<Arc<Run>>, u64, EntrySource) = match upper {
+            Upper::Batch(batch) => {
+                expected_keys += batch.size_hint().0;
+                (Vec::new(), 0, batch)
+            }
+            Upper::Runs(runs) => {
+                let sources: Vec<EntrySource> = runs
+                    .iter()
+                    .map(|r| {
+                        Box::new(r.iter_tallied(Arc::clone(&self.storage), Arc::clone(&tally)))
+                            as EntrySource
+                    })
+                    .collect();
+                let keys: u64 = runs.iter().map(|r| r.entry_count()).sum();
+                expected_keys += keys as usize;
+                let stage_one = MergeIterator::new(sources, false);
+                (runs, keys, Box::new(stage_one))
+            }
+        };
         let mut sources: Vec<EntrySource> = Vec::with_capacity(2);
-        if let Some(active) = &old_active {
+        if let Some(active) = &replaced {
             sources.push(Box::new(active.iter(Arc::clone(&self.storage))));
         }
-        sources.push(Box::new(batch.into_iter()));
+        sources.push(upper_source);
+        let mut merge = MergeIterator::new(sources, bottom);
 
-        let mut merge = MergeIterator::new(sources, is_bottom);
         let run_id = self.next_run_id;
         self.next_run_id += 1;
-        let mut builder = RunBuilder::new(run_id, self.storage.page_size(), bits);
+        let mut builder = RunBuilder::new(run_id, Arc::clone(&self.storage), bits);
+        builder.reserve(expected_keys);
         for e in merge.by_ref() {
             builder.push(e);
         }
-        let keys_processed = merge.entries_in;
+        let target_keys = merge.entries_in;
+        let per_key = self.storage.cost_model().cpu_merge_per_key_ns;
         self.storage
-            .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys_processed);
-
-        let new_run = builder
-            .finish(self.storage.as_ref(), active_cap)
+            .charge_cpu(per_key * (upper_keys + target_keys));
+        let output = builder
+            .finish(self.levels[target].active_capacity())
             .map(Arc::new);
-        if let Some(run) = &new_run {
-            // The run's pages must be durable before the AddRun edit
-            // below can commit (power-failure contract, step 1).
+        if let Some(run) = &output {
+            // The run's pages must be durable before the AddRun edit can
+            // commit (power-failure contract, step 1).
             self.sync_new_run(run.extent());
         }
-        if let Some(old) = old_active {
+
+        let dm = self.storage.metrics().delta(&m0);
+        let upper_ns = tally.ns() + per_key * upper_keys;
+        if !inputs.is_empty() {
+            let st = &mut self.level_stats[target - 1];
+            st.compact_ns += upper_ns;
+            st.compact_pages_read += tally.pages_read();
+            st.compact_keys += upper_keys;
+        }
+        let st = &mut self.level_stats[target];
+        st.compact_ns += self.storage.clock().elapsed_since(t0) - upper_ns;
+        st.compact_pages_read += dm.pages_read - tally.pages_read();
+        st.compact_pages_written += dm.pages_written;
+        st.compact_keys += target_keys;
+        BuiltMerge {
+            target,
+            inputs,
+            replaced,
+            bottom,
+            output,
+        }
+    }
+
+    /// Makes a built merge part of the tree: the inputs and the replaced
+    /// active run leave (retired, freed once the removal is durable and
+    /// unpinned), and the output joins the target level — sealed if it
+    /// reached its capacity. Logs the edits; the caller commits. Inline
+    /// mode then cascades if the target became full.
+    fn apply_merge(&mut self, built: BuiltMerge) {
+        let BuiltMerge {
+            target,
+            inputs,
+            replaced,
+            output,
+            ..
+        } = built;
+        if !inputs.is_empty() {
+            let from = target - 1;
+            for id in inputs.iter().map(|r| r.id()) {
+                let run = self.levels[from]
+                    .remove_run(id)
+                    .expect("merge inputs are resident at apply");
+                self.log_edit(ManifestEdit::RemoveRun {
+                    level: from as u32,
+                    run_id: id,
+                });
+                self.retire_run(run);
+            }
+            self.level_stats[from].merges_down += 1;
+            self.refresh_bounds(from);
+            if self.levels[from].run_count() == 0 {
+                self.adopt_pending_policy(from);
+            }
+        }
+        if let Some(old) = replaced {
+            debug_assert!(self.levels[target]
+                .active
+                .as_ref()
+                .is_some_and(|a| Arc::ptr_eq(a, &old)));
+            self.levels[target].active = None;
             self.log_edit(ManifestEdit::RemoveRun {
-                level: idx as u32,
+                level: target as u32,
                 run_id: old.id(),
             });
             self.retire_run(old);
         }
-        if let Some(run) = new_run {
+        if let Some(run) = output {
+            // The capacity follows the policy in force now: a flexible
+            // transition may have retargeted it since the build.
+            run.set_capacity_bytes(self.levels[target].active_capacity());
             let sealed = run.data_bytes() >= run.capacity_bytes();
+            let bits = self.cfg.bloom.bits_for_level(target, self.cfg.size_ratio);
             self.log_edit(ManifestEdit::AddRun {
-                level: idx as u32,
+                level: target as u32,
                 active: !sealed,
                 run: describe_run(&run, bits),
             });
-            let level = &mut self.levels[idx];
+            let level = &mut self.levels[target];
             if sealed {
                 level.sealed.push(run);
             } else {
                 level.active = Some(run);
             }
         }
-
-        let dm = self.storage.metrics().delta(&m0);
-        let st = &mut self.level_stats[idx];
-        st.compact_ns += self.storage.clock().elapsed_since(t0);
-        st.compact_pages_read += dm.pages_read;
-        st.compact_pages_written += dm.pages_written;
-        st.compact_keys += keys_processed;
-        self.refresh_bounds(idx);
+        self.refresh_bounds(target);
 
         // Background mode leaves a full level in place for the picker;
         // inline mode cascades immediately, on the caller's (write) path.
-        if !self.cfg.background_maintenance && self.levels[idx].is_full() {
-            self.merge_down(idx);
+        if !self.cfg.background_maintenance && self.levels[target].is_full() {
+            self.merge_now(target);
         }
-    }
-
-    /// Merges all runs of level `idx` into one sorted batch and admits it
-    /// into level `idx + 1`. Adopts any pending (lazy) policy afterwards.
-    fn merge_down(&mut self, idx: usize) {
-        self.ensure_level(idx + 1);
-        let runs = self.levels[idx].take_all_runs();
-        if runs.is_empty() {
-            self.adopt_pending_policy(idx);
-            return;
-        }
-        let t0 = self.storage.clock().now();
-        let m0 = self.storage.metrics();
-
-        let sources: Vec<EntrySource> = runs
-            .iter()
-            .map(|r| Box::new(r.iter(Arc::clone(&self.storage))) as EntrySource)
-            .collect();
-        let mut merge = MergeIterator::new(sources, false);
-        let batch: Vec<KvEntry> = merge.by_ref().collect();
-        let keys = merge.entries_in;
-        self.storage
-            .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys);
-        for r in runs {
-            self.log_edit(ManifestEdit::RemoveRun {
-                level: idx as u32,
-                run_id: r.id(),
-            });
-            self.retire_run(r);
-        }
-
-        let dm = self.storage.metrics().delta(&m0);
-        let st = &mut self.level_stats[idx];
-        st.compact_ns += self.storage.clock().elapsed_since(t0);
-        st.compact_pages_read += dm.pages_read;
-        st.compact_pages_written += dm.pages_written;
-        st.compact_keys += keys;
-        st.merges_down += 1;
-
-        // `take_all_runs` emptied the level; the tree aggregate must not
-        // keep covering its former range (the admitted batch below may be
-        // empty after tombstone drops, so this cannot ride on admit_batch).
-        self.refresh_bounds(idx);
-        self.adopt_pending_policy(idx);
-        self.admit_batch(idx + 1, batch);
     }
 
     /// Adopts a level's pending (lazy) policy, recording the adoption in
@@ -1028,16 +1104,18 @@ impl FlsmTree {
     ///
     /// 1. flush a memtable at or over the configured buffer size;
     /// 2. apply a previously built merge (revalidated against the live
-    ///    structure — a greedy transition may have consumed its inputs);
+    ///    structure — a greedy transition may have consumed its inputs —
+    ///    and its output freed at once if it no longer fits);
     /// 3. ask the [`CompactionPicker`] for the neediest level and either
     ///    re-parent its sealed runs (trivial move — zero I/O) or build
     ///    the merge for a later step to apply.
     ///
-    /// Splitting *build* (step issuing the read + CPU work) from *apply*
-    /// (step logging and committing the edit batch) keeps each step
-    /// bounded and leaves the input runs resident — readable by gets,
-    /// scans, and snapshots — for the whole merge. Callers interleave
-    /// steps between operation batches; [`FlsmTree::maintain`] loops.
+    /// *Build* does all the merge's I/O and CPU: it streams the inputs
+    /// into a written, fsynced, but uncommitted output extent, holding one
+    /// page per source. *Apply* only revalidates, logs the edits, and
+    /// commits. The input runs stay resident — readable by gets, scans,
+    /// and snapshots — until then. Callers interleave steps between
+    /// operation batches; [`FlsmTree::maintain`] loops.
     ///
     /// On a quiescent tree the step only sweeps retired runs whose last
     /// snapshot pin dropped, and reports no work done.
@@ -1050,12 +1128,15 @@ impl FlsmTree {
             return true;
         }
         if let Some(p) = self.pending_compaction.take() {
-            if self.pending_still_valid(&p) {
-                self.apply_pending(p);
+            if self.merge_still_valid(&p) {
+                self.apply_merge(p);
+                self.bg_compactions += 1;
+                self.commit_manifest();
                 return true;
             }
-            // Inputs vanished under the pending merge: drop the stale
-            // batch (its pins release here) and pick afresh below.
+            // The structure moved under the built merge: free its output
+            // (its pins release here) and pick afresh below.
+            self.abandon_merge(p);
         }
         let picker = CompactionPicker::new(self.picker_config());
         let Some(pick) = picker.pick(&self.levels) else {
@@ -1100,84 +1181,46 @@ impl FlsmTree {
             .sum()
     }
 
-    /// A pending merge is applicable only while every input is still
-    /// resident among its level's sealed runs.
-    fn pending_still_valid(&self, p: &PendingCompaction) -> bool {
-        let Some(level) = self.levels.get(p.level) else {
-            return false;
+    /// A built merge is applicable only while the structure it read is
+    /// unchanged: every input still resident among its level's sealed
+    /// runs (a greedy transition may have consumed them), the same active
+    /// run at the target, and the same bottom-ness (tombstones may have
+    /// been dropped against it).
+    fn merge_still_valid(&self, m: &BuiltMerge) -> bool {
+        let from = &self.levels[m.target - 1];
+        let same_active = match (&self.levels[m.target].active, &m.replaced) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
         };
-        p.inputs
+        m.inputs
             .iter()
-            .all(|r| level.sealed.iter().any(|s| s.id() == r.id()))
+            .all(|r| from.sealed.iter().any(|s| Arc::ptr_eq(s, r)))
+            && same_active
+            && self.is_bottom(m.target) == m.bottom
+    }
+
+    /// Drops a built merge that will never apply, freeing its output
+    /// extent at once (no manifest edit ever named it) and releasing its
+    /// pins on inputs another mutation already retired.
+    fn abandon_merge(&mut self, m: BuiltMerge) {
+        if let Some(run) = m.output {
+            self.storage.free(run.extent());
+        }
+        drop(m.inputs);
+        drop(m.replaced);
+        self.reclaim_retired();
     }
 
     /// Builds (but does not apply) the merge of all sealed runs of level
-    /// `idx`: the k-way merge reads every input and materializes the
-    /// output batch in memory, charging the read and CPU cost now, while
-    /// the inputs stay resident and readable.
+    /// `idx` into level `idx + 1`, streaming it into an uncommitted output
+    /// run while the inputs stay resident and readable.
     fn build_pending(&mut self, idx: usize) {
         let inputs: Vec<Arc<Run>> = self.levels[idx].sealed.clone();
         if inputs.is_empty() {
             return;
         }
-        let t0 = self.storage.clock().now();
-        let m0 = self.storage.metrics();
-        let sources: Vec<EntrySource> = inputs
-            .iter()
-            .map(|r| Box::new(r.iter(Arc::clone(&self.storage))) as EntrySource)
-            .collect();
-        let mut merge = MergeIterator::new(sources, false);
-        let batch: Vec<KvEntry> = merge.by_ref().collect();
-        let keys = merge.entries_in;
-        self.storage
-            .charge_cpu(self.storage.cost_model().cpu_merge_per_key_ns * keys);
-        let dm = self.storage.metrics().delta(&m0);
-        let st = &mut self.level_stats[idx];
-        st.compact_ns += self.storage.clock().elapsed_since(t0);
-        st.compact_pages_read += dm.pages_read;
-        st.compact_keys += keys;
-        self.pending_compaction = Some(PendingCompaction {
-            level: idx,
-            inputs,
-            batch,
-        });
-    }
-
-    /// Applies a built merge: removes the inputs from their level,
-    /// admits the output into the next level, and commits the whole edit
-    /// batch atomically. The inputs' extents stay allocated until the
-    /// commit is durable *and* their last snapshot pin drops.
-    fn apply_pending(&mut self, p: PendingCompaction) {
-        let PendingCompaction {
-            level: idx,
-            inputs,
-            batch,
-        } = p;
-        self.ensure_level(idx + 1);
-        for r in &inputs {
-            let pos = self.levels[idx]
-                .sealed
-                .iter()
-                .position(|s| s.id() == r.id())
-                .expect("pending inputs were revalidated");
-            let run = self.levels[idx].sealed.remove(pos);
-            self.log_edit(ManifestEdit::RemoveRun {
-                level: idx as u32,
-                run_id: run.id(),
-            });
-            self.retire_run(run);
-        }
-        // Release the builder's own pins before the commit below tries
-        // to reclaim; outside pins (snapshots, scans) still defer.
-        drop(inputs);
-        self.level_stats[idx].merges_down += 1;
-        self.refresh_bounds(idx);
-        if self.levels[idx].run_count() == 0 {
-            self.adopt_pending_policy(idx);
-        }
-        self.admit_batch(idx + 1, batch);
-        self.bg_compactions += 1;
-        self.commit_manifest();
+        self.pending_compaction = Some(self.build_merge(idx + 1, Upper::Runs(inputs)));
     }
 
     /// Re-parents all sealed runs of level `idx` to level `idx + 1`
@@ -1280,7 +1323,7 @@ impl FlsmTree {
                     pending: None,
                 });
                 if self.levels[idx].run_count() > 0 {
-                    self.merge_down(idx);
+                    self.merge_now(idx);
                 }
             }
         }
@@ -1316,6 +1359,11 @@ impl FlsmTree {
     /// Number of runs in a level.
     pub fn level_run_count(&self, idx: usize) -> usize {
         self.levels.get(idx).map_or(0, Level::run_count)
+    }
+
+    /// Number of entries stored in a level.
+    pub fn level_entries(&self, idx: usize) -> u64 {
+        self.levels.get(idx).map_or(0, Level::entry_count)
     }
 
     /// Capacity `C_i` of a level as configured.
@@ -1463,11 +1511,11 @@ impl FlsmTree {
             for (b, bucket) in buckets.into_iter().enumerate() {
                 let run_id = self.next_run_id;
                 self.next_run_id += 1;
-                let mut builder = RunBuilder::new(run_id, self.storage.page_size(), bits);
+                let mut builder = RunBuilder::new(run_id, Arc::clone(&self.storage), bits);
                 for e in bucket {
                     builder.push(e);
                 }
-                if let Some(run) = builder.finish(self.storage.as_ref(), run_cap).map(Arc::new) {
+                if let Some(run) = builder.finish(run_cap).map(Arc::new) {
                     self.sync_new_run(run.extent());
                     let is_last = b == n_runs - 1;
                     let active = is_last && run.data_bytes() < run.capacity_bytes();
@@ -1508,6 +1556,19 @@ fn describe_run(run: &Run, bloom_bits_per_key: f64) -> RunRecord {
         bloom_bits_per_key,
         min_key: run.min_key().clone(),
         max_key: run.max_key().clone(),
+    }
+}
+
+/// An orderly close frees a built-but-unapplied merge's output, so the
+/// next recovery finds no orphan. A crashed tree leaves it for recovery's
+/// sweep, as a dead process would.
+impl Drop for FlsmTree {
+    fn drop(&mut self) {
+        if let Some(m) = self.pending_compaction.take() {
+            if !self.crashed() {
+                self.abandon_merge(m);
+            }
+        }
     }
 }
 
@@ -2014,7 +2075,7 @@ mod tests {
 
     /// The bounds caches stay exact through every structural mutation:
     /// flushes, compaction cascades, and all three transition strategies
-    /// (greedy rewrites run membership via `merge_down`).
+    /// (greedy rewrites run membership via `merge_now`).
     #[test]
     fn bounds_invariant_holds_through_mutations() {
         for strategy in [
@@ -2221,6 +2282,205 @@ mod tests {
             .map(|r| r.pages as u64)
             .sum();
         assert_eq!(t.storage().live_pages(), recorded);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A streaming merge bills each level as a two-stage merge: the upper
+    /// level the reads of its own runs plus `cpu_merge_per_key_ns` per
+    /// entry read from them; the target the active run's reads, the CPU
+    /// for every second-stage entry (active entries plus distinct upper
+    /// keys), and all writes.
+    #[test]
+    fn merge_bills_each_level_as_a_two_stage_merge() {
+        let cost = CostModel::NVME;
+        let mut t = FlsmTree::new(
+            LsmConfig {
+                buffer_bytes: 1024,
+                size_ratio: 4,
+                ..LsmConfig::scaled_default()
+            },
+            SimulatedDisk::new(256, cost),
+        );
+        // Tier level 1 so it holds several overlapping runs.
+        t.set_policy(0, 4);
+        let mut i = 0u64;
+        while i < 700 || t.level_run_count(0) < 2 {
+            t.put(key(i * 3 % 160), val(i));
+            if i.is_multiple_of(9) {
+                t.delete(key(i % 160));
+            }
+            if i % 25 == 24 {
+                t.flush();
+            }
+            i += 1;
+        }
+        let upper = t.levels[0].all_runs();
+        let active = t.levels[1]
+            .active
+            .clone()
+            .expect("level 2 has an active run");
+        let upper_pages: u64 = upper.iter().map(|r| r.page_count() as u64).sum();
+        let upper_entries: u64 = upper.iter().map(|r| r.entry_count()).sum();
+        let distinct = MergeIterator::new(
+            upper
+                .iter()
+                .map(|r| Box::new(r.iter(Arc::clone(&t.storage))) as EntrySource)
+                .collect(),
+            false,
+        )
+        .count() as u64;
+        let (l0, l1) = (t.stats().levels[0], t.stats().levels[1]);
+        t.merge_now(0);
+        let (n0, n1) = (t.stats().levels[0], t.stats().levels[1]);
+        let output = t.levels[1]
+            .probe_order()
+            .next()
+            .expect("merged run")
+            .clone();
+        let target_keys = active.entry_count() + distinct;
+
+        assert_eq!(n0.compact_pages_read - l0.compact_pages_read, upper_pages);
+        assert_eq!(n0.compact_pages_written, l0.compact_pages_written);
+        assert_eq!(n0.compact_keys - l0.compact_keys, upper_entries);
+        assert_eq!(
+            n0.compact_ns - l0.compact_ns,
+            upper_pages * cost.read_page_ns + upper_entries * cost.cpu_merge_per_key_ns
+        );
+        assert_eq!(n0.merges_down - l0.merges_down, 1);
+        let written = output.page_count() as u64;
+        assert_eq!(
+            n1.compact_pages_read - l1.compact_pages_read,
+            active.page_count() as u64
+        );
+        assert_eq!(n1.compact_pages_written - l1.compact_pages_written, written);
+        assert_eq!(n1.compact_keys - l1.compact_keys, target_keys);
+        assert_eq!(
+            n1.compact_ns - l1.compact_ns,
+            active.page_count() as u64 * cost.read_page_ns
+                + target_keys * cost.cpu_merge_per_key_ns
+                + written * cost.write_page_ns
+        );
+    }
+
+    /// Pages of the runs the manifest records.
+    fn recorded_pages(t: &FlsmTree) -> u64 {
+        t.manifest()
+            .unwrap()
+            .state()
+            .levels
+            .iter()
+            .flat_map(|l| l.sealed.iter().chain(l.active.iter()))
+            .map(|r| r.pages as u64)
+            .sum()
+    }
+
+    /// Pages of the built-but-unapplied merge's output, if any.
+    fn pending_pages(t: &FlsmTree) -> u64 {
+        t.pending_compaction
+            .as_ref()
+            .and_then(|m| m.output.as_ref())
+            .map_or(0, |r| r.page_count() as u64)
+    }
+
+    /// A built merge the structure moved under is abandoned at the apply
+    /// step — whether a greedy transition consumed its inputs or merged
+    /// away the target's active run it replaces. Its output extent is
+    /// freed at once, so the device holds exactly the recorded runs (plus
+    /// any merge the step built afresh), reads stay exact, and a restart
+    /// finds no orphan to collect.
+    #[test]
+    fn abandoned_merge_frees_its_output_at_once() {
+        for greedy_below_inputs in [0, 1] {
+            let dir = persist_dir(&format!("abandon-{greedy_below_inputs}"));
+            let cfg = LsmConfig {
+                buffer_bytes: 1024,
+                size_ratio: 4,
+                background_maintenance: true,
+                l0_stall_runs: 64,
+                transition: TransitionStrategy::Greedy,
+                ..LsmConfig::scaled_default()
+            };
+            let mut t = persistent_tree(&dir, cfg.clone());
+            // Load and step until a built merge replaces an active run.
+            let mut model = std::collections::BTreeMap::new();
+            let replaces_active = |t: &FlsmTree| {
+                t.pending_compaction
+                    .as_ref()
+                    .is_some_and(|m| m.replaced.is_some())
+            };
+            for i in 0..6000u64 {
+                t.put(key(i * 7 % 600), val(i));
+                model.insert(i * 7 % 600, val(i));
+                if i % 40 == 39 {
+                    t.flush();
+                    while !replaces_active(&t) && t.step_maintenance() {}
+                    if replaces_active(&t) {
+                        break;
+                    }
+                }
+            }
+            let m = t.pending_compaction.as_ref().expect("a merge is built");
+            assert!(m.replaced.is_some(), "the merge replaces an active run");
+            let built = pending_pages(&t);
+            assert!(built > 0);
+            assert_eq!(t.storage().live_pages(), recorded_pages(&t) + built);
+
+            // A greedy transition merges the inputs' level (or the
+            // target level) away.
+            let level = m.target - 1 + greedy_below_inputs;
+            t.set_policy(level, 2);
+            assert_eq!(t.level_run_count(level), 0, "greedy emptied level {level}");
+
+            // The apply step rejects the merge and frees its output (then
+            // picks afresh, which may find nothing to do).
+            t.step_maintenance();
+            assert!(
+                t.retired.is_empty(),
+                "the abandoned merge's pins are released"
+            );
+            assert_eq!(
+                t.storage().live_pages(),
+                recorded_pages(&t) + pending_pages(&t),
+                "only recorded runs and a freshly built merge may hold pages"
+            );
+            while t.maintain(8) > 0 {}
+            for (k, v) in &model {
+                assert_eq!(t.get(&key(*k)).as_ref(), Some(v), "key {k}");
+            }
+            drop(t);
+            let r = recover_persistent_tree(&dir, cfg);
+            assert_eq!(r.orphans_collected(), 0, "nothing was left for recovery");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Closing a tree between a merge's build and apply frees the built
+    /// output, so the restart collects no orphan and reads the inputs.
+    #[test]
+    fn closing_with_a_built_merge_leaves_no_orphan() {
+        let dir = persist_dir("close-built");
+        let cfg = LsmConfig {
+            buffer_bytes: 1024,
+            size_ratio: 4,
+            background_maintenance: true,
+            l0_stall_runs: 64,
+            ..LsmConfig::scaled_default()
+        };
+        let mut t = persistent_tree(&dir, cfg.clone());
+        for i in 0..400u64 {
+            t.put(key(i), val(i));
+        }
+        while !t.has_pending_compaction() {
+            assert!(t.step_maintenance(), "the load must leave a merge to build");
+        }
+        assert!(pending_pages(&t) > 0);
+        t.commit_wal().unwrap();
+        drop(t);
+        let mut r = recover_persistent_tree(&dir, cfg);
+        assert_eq!(r.orphans_collected(), 0);
+        for i in 0..400u64 {
+            assert_eq!(r.get(&key(i)), Some(val(i)), "key {i}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -286,10 +286,11 @@ impl<S: Storage> Storage for BlockCache<S> {
     }
 
     fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge {
-        // Write-through: keep the cache coherent and always persist.
-        let evicted = self.insert((ext.id, idx), Arc::from(data.to_vec().into_boxed_slice()));
+        // Write-through: persist first (a rejected write caches nothing),
+        // then keep the cache coherent.
         let mut charge = self.inner.write_page(ext, idx, data);
-        charge.io.cache_evictions += evicted;
+        charge.io.cache_evictions +=
+            self.insert((ext.id, idx), Arc::from(data.to_vec().into_boxed_slice()));
         charge
     }
 
@@ -475,6 +476,34 @@ mod tests {
             cache.read_page(ext, 0, &mut buf);
         }));
         assert!(result.is_err());
+    }
+
+    /// Pages appended to a growing extent are cached write-through like
+    /// any other, count as live on the device, and `free` purges every one
+    /// of them — through a handle that never learned the grown size.
+    #[test]
+    fn free_purges_appended_pages() {
+        let (cache, disk) = setup(16);
+        let ext = cache.allocate(0);
+        for i in 0..5 {
+            cache.write_page(ext, i, &[i as u8; 4]);
+        }
+        assert_eq!(cache.live_pages(), 5);
+        assert_eq!(cache.cached_pages(), 5);
+        cache.free(ext);
+        assert_eq!(cache.cached_pages(), 0, "appended pages must be purged");
+        assert_eq!(disk.live_pages(), 0);
+    }
+
+    #[test]
+    fn rejected_append_caches_nothing() {
+        let (cache, _) = setup(4);
+        let ext = cache.allocate(0);
+        let hole = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.write_page(ext, 1, b"x");
+        }));
+        assert!(hole.is_err(), "a write past the end must be rejected");
+        assert_eq!(cache.cached_pages(), 0);
     }
 
     #[test]

@@ -15,6 +15,12 @@ use crate::metrics::{AtomicMetrics, StorageMetrics};
 /// Extents are handed out by [`Storage::allocate`] and identify the pages of
 /// one sorted run. They are plain identifiers — freeing is explicit via
 /// [`Storage::free`], mirroring how an LSM engine deletes obsolete run files.
+///
+/// An extent *grows* when a page is written at the index equal to its
+/// current length, so a writer that does not know its final size up front
+/// (a streaming merge) allocates zero pages and appends. `pages` is the
+/// length the holder last knew of; the backend tracks the real one, and
+/// [`Storage::free`] and [`Storage::live_pages`] go by that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Extent {
     /// Unique identifier of the allocation.
@@ -88,10 +94,13 @@ pub trait Storage: Send + Sync {
     fn allocate(&self, pages: u32) -> Extent;
 
     /// Writes `data` (at most one page) to page `idx` of `ext`, returning
-    /// the exact [`IoCharge`] so wrappers can mirror the accounting.
+    /// the exact [`IoCharge`] so wrappers can mirror the accounting. A
+    /// write at `idx` equal to the extent's current length appends a page
+    /// (counted in [`Storage::live_pages`] from then on).
     ///
     /// # Panics
-    /// Panics if `idx` is out of bounds or `data` exceeds the page size.
+    /// Panics if `idx` is past the extent's current length (the write would
+    /// leave a hole) or `data` exceeds the page size.
     fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge;
 
     /// Reads page `idx` of `ext` into `buf` (cleared first), returning the
@@ -148,7 +157,8 @@ pub trait Storage: Send + Sync {
     /// backends.
     fn arm_power_cut(&self, _point: PowerCutPoint, _after: u64) {}
 
-    /// Releases an extent. Reading freed pages panics.
+    /// Releases an extent with every page it holds, grown ones included
+    /// (`ext.pages` is not consulted). Reading freed pages panics.
     fn free(&self, ext: Extent);
 
     /// Snapshot of the I/O counters *as seen through this handle*: the
@@ -173,8 +183,9 @@ pub trait Storage: Send + Sync {
     fn live_pages(&self) -> u64;
 }
 
-/// Pages of one extent: each slot is `None` until written.
-type ExtentSlots = Box<[Option<Box<[u8]>>]>;
+/// Pages of one extent: each slot is `None` until written; appending a
+/// page pushes a slot.
+type ExtentSlots = Vec<Option<Box<[u8]>>>;
 
 /// In-memory page store with exact, deterministic I/O accounting.
 pub struct SimulatedDisk {
@@ -233,17 +244,24 @@ impl Storage for SimulatedDisk {
             data.len(),
             self.page_size
         );
-        assert!(
-            idx < ext.pages,
-            "page index {idx} out of bounds ({})",
-            ext.pages
-        );
         {
             let mut extents = self.extents.write();
             let slots = extents
                 .get_mut(&ext.id)
                 .unwrap_or_else(|| panic!("write to freed/unknown extent {}", ext.id));
-            slots[idx as usize] = Some(data.to_vec().into_boxed_slice());
+            let page = Some(data.to_vec().into_boxed_slice());
+            match (idx as usize).cmp(&slots.len()) {
+                std::cmp::Ordering::Less => slots[idx as usize] = page,
+                std::cmp::Ordering::Equal => {
+                    slots.push(page);
+                    self.live_pages.fetch_add(1, Ordering::Relaxed);
+                }
+                std::cmp::Ordering::Greater => panic!(
+                    "write at page {idx} would leave a hole in extent {} ({} pages)",
+                    ext.id,
+                    slots.len()
+                ),
+            }
         }
         let charge = IoCharge {
             ns: self.cost.write_page_ns,
@@ -269,12 +287,15 @@ impl Storage for SimulatedDisk {
                     format!("read from freed/unknown extent {}", ext.id),
                 )
             })?;
-            let page = slots[idx as usize].as_ref().ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("read of unwritten page {}:{idx}", ext.id),
-                )
-            })?;
+            let page = slots
+                .get(idx as usize)
+                .and_then(Option::as_ref)
+                .ok_or_else(|| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("read of unwritten page {}:{idx}", ext.id),
+                    )
+                })?;
             buf.extend_from_slice(page);
         }
         let charge = IoCharge {
@@ -292,9 +313,9 @@ impl Storage for SimulatedDisk {
     }
 
     fn free(&self, ext: Extent) {
-        if self.extents.write().remove(&ext.id).is_some() {
+        if let Some(slots) = self.extents.write().remove(&ext.id) {
             self.live_pages
-                .fetch_sub(ext.pages as u64, Ordering::Relaxed);
+                .fetch_sub(slots.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -378,6 +399,36 @@ mod tests {
         assert_eq!(d.live_extents(), 1);
         d.free(b);
         assert_eq!(d.live_pages(), 0);
+    }
+
+    /// An extent allocated empty grows page by page: each append counts
+    /// as live, an overwrite does not, and `free` releases the grown size
+    /// even through a handle that still says zero pages.
+    #[test]
+    fn appended_pages_are_live_and_freed() {
+        let d = disk();
+        let ext = d.allocate(0);
+        assert_eq!(d.live_pages(), 0);
+        for i in 0..3 {
+            d.write_page(ext, i, &[i as u8; 8]);
+        }
+        assert_eq!(d.live_pages(), 3);
+        d.write_page(ext, 1, b"again");
+        assert_eq!(d.live_pages(), 3, "an overwrite is not an append");
+        let mut buf = Vec::new();
+        d.read_page(ext, 2, &mut buf);
+        assert_eq!(buf, [2u8; 8]);
+        assert!(d.try_read_page(ext, 3, &mut buf).is_err(), "past the end");
+        d.free(ext);
+        assert_eq!(d.live_pages(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "would leave a hole")]
+    fn write_past_the_end_panics() {
+        let d = disk();
+        let ext = d.allocate(1);
+        d.write_page(ext, 2, b"x");
     }
 
     #[test]

@@ -84,6 +84,10 @@ pub struct FileDisk {
     /// Open handle per live extent; populated at allocation (or first
     /// access after a reopen) and dropped in [`Storage::free`].
     handles: Mutex<HashMap<u64, Arc<File>>>,
+    /// Current page count of every live extent: set at allocation (or
+    /// from the file size on reopen), grown by appending writes, and what
+    /// [`Storage::free`] releases from `live_pages`.
+    lengths: Mutex<HashMap<u64, u32>>,
     fds_opened: AtomicU64,
     buffer_grows: AtomicU64,
     /// Open handle on the directory itself, for [`Storage::sync_dir`].
@@ -111,6 +115,7 @@ impl FileDisk {
         std::fs::create_dir_all(&dir)?;
         let mut max_id = 0u64;
         let mut live_pages = 0u64;
+        let mut lengths = HashMap::new();
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let name = entry.file_name();
@@ -123,7 +128,9 @@ impl FileDisk {
                 continue;
             };
             max_id = max_id.max(id);
-            live_pages += entry.metadata()?.len() / (page_size + SLOT_HEADER) as u64;
+            let pages = entry.metadata()?.len() / (page_size + SLOT_HEADER) as u64;
+            live_pages += pages;
+            lengths.insert(id, pages as u32);
         }
         let dir_handle = File::open(&dir)?;
         Ok(Arc::new(Self {
@@ -135,6 +142,7 @@ impl FileDisk {
             live_pages: AtomicU64::new(live_pages),
             metrics: AtomicMetrics::default(),
             handles: Mutex::new(HashMap::new()),
+            lengths: Mutex::new(lengths),
             fds_opened: AtomicU64::new(0),
             buffer_grows: AtomicU64::new(0),
             dir_handle,
@@ -266,6 +274,7 @@ impl Storage for FileDisk {
             .expect("preallocate extent");
         self.fds_opened.fetch_add(1, Ordering::Relaxed);
         self.handles.lock().insert(id, Arc::new(f));
+        self.lengths.lock().insert(id, pages);
         self.live_pages.fetch_add(pages as u64, Ordering::Relaxed);
         // The new directory entry is not durable until the next sync_dir.
         self.pending_dir.lock().push(id);
@@ -274,9 +283,23 @@ impl Storage for FileDisk {
 
     fn write_page(&self, ext: Extent, idx: u32, data: &[u8]) -> IoCharge {
         assert!(data.len() <= self.page_size, "page overflow");
-        assert!(idx < ext.pages, "page index out of bounds");
         if self.is_halted() {
             return IoCharge::default();
+        }
+        {
+            let mut lengths = self.lengths.lock();
+            let len = lengths
+                .get_mut(&ext.id)
+                .unwrap_or_else(|| panic!("write to freed/unknown extent {}", ext.id));
+            assert!(
+                idx <= *len,
+                "write at page {idx} would leave a hole in extent {} ({len} pages)",
+                ext.id
+            );
+            if idx == *len {
+                *len += 1;
+                self.live_pages.fetch_add(1, Ordering::Relaxed);
+            }
         }
         let f = self.handle(ext.id);
         // Slots are fixed-size on disk: pad with zeros, prefix with length.
@@ -380,6 +403,7 @@ impl Storage for FileDisk {
             let pending: Vec<u64> = std::mem::take(&mut *self.pending_dir.lock());
             for id in pending {
                 self.handles.lock().remove(&id);
+                self.lengths.lock().remove(&id);
                 if let Ok(meta) = std::fs::metadata(self.path(id)) {
                     if std::fs::remove_file(self.path(id)).is_ok() {
                         self.live_pages
@@ -426,6 +450,7 @@ impl Storage for FileDisk {
             }
             let pages = entry.metadata()?.len() / self.slot() as u64;
             self.handles.lock().remove(&id);
+            self.lengths.lock().remove(&id);
             std::fs::remove_file(entry.path())?;
             self.live_pages.fetch_sub(pages, Ordering::Relaxed);
             collected.push(id);
@@ -450,9 +475,9 @@ impl Storage for FileDisk {
         }
         // Drop the cached handle first so the fd goes with the file.
         self.handles.lock().remove(&ext.id);
+        let pages = self.lengths.lock().remove(&ext.id).unwrap_or(0);
         if std::fs::remove_file(self.path(ext.id)).is_ok() {
-            self.live_pages
-                .fetch_sub(ext.pages as u64, Ordering::Relaxed);
+            self.live_pages.fetch_sub(pages as u64, Ordering::Relaxed);
         }
     }
 
@@ -643,6 +668,39 @@ mod tests {
         assert_eq!(d.fds_opened(), 1);
         assert_eq!(d.metrics().pages_read, 400);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Streaming writers grow an extent from zero pages: appends count as
+    /// live, survive a reopen at their grown size, and `free` releases the
+    /// grown size even through the stale zero-page handle.
+    #[test]
+    fn appended_pages_are_live_and_freed() {
+        let dir = tmpdir("append");
+        let d = FileDisk::new(&dir, 256, CostModel::FREE).unwrap();
+        let ext = d.allocate(0);
+        for i in 0..4 {
+            d.write_page(ext, i, &[i as u8; 40]);
+        }
+        d.write_page(ext, 0, b"rewritten");
+        assert_eq!(d.live_pages(), 4, "appends count, overwrites do not");
+        let mut buf = Vec::new();
+        d.read_page(ext, 3, &mut buf);
+        assert_eq!(buf, [3u8; 40]);
+        drop(d);
+        let d = FileDisk::new(&dir, 256, CostModel::FREE).unwrap();
+        assert_eq!(d.live_pages(), 4, "the grown size survives a reopen");
+        d.free(ext);
+        assert_eq!(d.live_pages(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "would leave a hole")]
+    fn write_past_the_end_panics() {
+        let dir = tmpdir("hole");
+        let d = FileDisk::new(&dir, 256, CostModel::FREE).unwrap();
+        let ext = d.allocate(1);
+        d.write_page(ext, 2, b"x");
     }
 
     #[test]

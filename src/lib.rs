@@ -191,12 +191,19 @@
 //!   overlaps nothing at the next level moves down as a zero-I/O
 //!   **trivial move** (a `MoveRun` manifest edit), bounded by the
 //!   grandparent-overlap limit so moves cannot pile up unmergeable debt.
-//! * **Two-step merges** — one maintenance step *builds* the
-//!   replacement batch from the picked runs (the inputs stay live for
-//!   readers throughout); a later step revalidates and *applies* it:
-//!   remove inputs, admit the merged run below, commit the manifest
-//!   batch. A crash between the steps loses nothing — the inputs are
-//!   still the manifest's truth.
+//! * **Two-step merges** — one maintenance step *builds* the merge: it
+//!   streams the picked runs together with the target level's active run
+//!   straight into a new extent, page by page, and fsyncs it. The extent
+//!   is written but not committed, and the inputs stay live for readers
+//!   throughout. A later step *applies* it: it revalidates (same inputs,
+//!   same target active run, same bottom-ness — otherwise the output is
+//!   freed at once), logs the edits and commits the manifest batch. A
+//!   crash between the steps loses nothing: the inputs are still the
+//!   manifest's truth, and recovery collects the uncommitted extent as an
+//!   orphan. Every merge — flush, inline cascade, greedy transition,
+//!   background build — goes through this one streaming routine, so the
+//!   memory a merge holds is one page per source plus 16 bytes of Bloom
+//!   hashes per output key, never a merged level.
 //! * **Deferred frees extend the two-log contract** — a superseded
 //!   run's extent and cache pages are freed only after (a) the manifest
 //!   commit that removed it is durable *and* (b) the last snapshot or

@@ -847,7 +847,8 @@ fn manifest_crash_points_recover_the_longest_consistent_prefix() {
 /// every acknowledged write: append-time crashes lose the edit batch as
 /// a unit (the merge's inputs stay live in the manifest and the
 /// untruncated WAL covers the rest), and the recovered store must keep
-/// flushing, merging, and restarting.
+/// flushing, merging, and restarting. Before the commit is durable, the
+/// merge's built output extent is an orphan recovery collects.
 #[test]
 fn manifest_crash_points_with_a_background_merge_in_flight() {
     const KEYS: u64 = 400;
@@ -931,6 +932,15 @@ fn manifest_crash_points_with_a_background_merge_in_flight() {
             &p,
         )
         .expect("recover persistent background store");
+        // The built merge streamed its output into an extent no durable
+        // edit names: until the commit is durable, that extent is an
+        // orphan recovery must collect.
+        if point != ManifestCrashPoint::PostCommit {
+            assert!(
+                rec.shard(0).orphans_collected() >= 1,
+                "point={point:?}: the uncommitted merge output must be collected"
+            );
+        }
         for i in 0..KEYS {
             assert_eq!(
                 rec.get(&key(i)).as_deref(),

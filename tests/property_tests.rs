@@ -93,7 +93,7 @@ proptest! {
     fn run_roundtrip(keys in prop::collection::btree_set(any::<u32>(), 1..200),
                      vlen in 0usize..64) {
         let disk = SimulatedDisk::new(256, CostModel::FREE);
-        let mut builder = RunBuilder::new(1, 256, 8.0);
+        let mut builder = RunBuilder::new(1, disk.clone(), 8.0);
         let entries: Vec<KvEntry> = keys
             .iter()
             .enumerate()
@@ -106,7 +106,7 @@ proptest! {
         for e in &entries {
             builder.push(e.clone());
         }
-        let run = builder.finish(disk.as_ref(), u64::MAX).unwrap();
+        let run = builder.finish(u64::MAX).unwrap();
         let got: Vec<KvEntry> = run.iter(disk.clone() as std::sync::Arc<dyn Storage>).collect();
         prop_assert_eq!(got, entries);
     }
