@@ -37,7 +37,7 @@ pub enum ProbeOutcome {
 pub struct ProbeResult {
     /// What happened.
     pub outcome: ProbeOutcome,
-    /// Pages read from storage during the probe (0 or 1).
+    /// Pages the probe accessed (0 or 1); a block-cache hit counts as 1.
     pub pages_read: u32,
 }
 

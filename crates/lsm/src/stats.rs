@@ -10,7 +10,9 @@
 pub struct LevelStats {
     /// Virtual ns spent probing this level during lookups.
     pub lookup_ns: u64,
-    /// Pages read by lookups in this level.
+    /// Pages accessed by lookups in this level: one per probe that got
+    /// past the Bloom filter and fences, whether the block cache served
+    /// it or the device did (from [`crate::run::ProbeResult::pages_read`]).
     pub lookup_pages: u64,
     /// Run probes performed in this level.
     pub probes: u64,
@@ -18,7 +20,11 @@ pub struct LevelStats {
     pub false_positives: u64,
     /// Virtual ns spent on compaction work attributed to this level.
     pub compact_ns: u64,
-    /// Pages read by compactions attributed to this level.
+    /// Device page reads by compactions attributed to this level. Cache
+    /// hits are not counted (the figure comes from
+    /// [`ruskey_storage::StorageMetrics::pages_read`]), so it stays near 0
+    /// when the block cache holds the merge's inputs — unlike
+    /// `lookup_pages`, which counts hits.
     pub compact_pages_read: u64,
     /// Pages written by compactions attributed to this level.
     pub compact_pages_written: u64,
@@ -58,7 +64,9 @@ impl LevelStats {
 pub struct LevelStatsSnapshot {
     /// Virtual ns spent probing this level during lookups.
     pub lookup_ns: u64,
-    /// Pages read by lookups in this level.
+    /// Pages accessed by lookups in this level: one per probe that got
+    /// past the Bloom filter and fences, whether the block cache served
+    /// it or the device did (from [`crate::run::ProbeResult::pages_read`]).
     pub lookup_pages: u64,
     /// Run probes performed in this level.
     pub probes: u64,
@@ -66,7 +74,11 @@ pub struct LevelStatsSnapshot {
     pub false_positives: u64,
     /// Virtual ns spent on compaction work attributed to this level.
     pub compact_ns: u64,
-    /// Pages read by compactions attributed to this level.
+    /// Device page reads by compactions attributed to this level. Cache
+    /// hits are not counted (the figure comes from
+    /// [`ruskey_storage::StorageMetrics::pages_read`]), so it stays near 0
+    /// when the block cache holds the merge's inputs — unlike
+    /// `lookup_pages`, which counts hits.
     pub compact_pages_read: u64,
     /// Pages written by compactions attributed to this level.
     pub compact_pages_written: u64,

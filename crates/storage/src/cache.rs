@@ -12,6 +12,14 @@
 //!   recency list over a slab plus a `HashMap` from page key to slot:
 //!   hit, insert, and evict are all constant-time (the seed cache's
 //!   min-scan over every resident page is gone).
+//! * **Bounded memory** — each slot owns one page frame, allocated with
+//!   page-size capacity the first time the slot is created and refilled
+//!   in place by every later insert (one copy, no allocation). Slots freed
+//!   by eviction or invalidation keep their frames, so a full cache makes
+//!   no heap allocation at steady state and its resident footprint is
+//!   capacity × page size, whichever threads fill it. The one exception
+//!   keeps hits lock-free while they copy: a frame a reader still holds
+//!   is left to that reader and replaced by a fresh one.
 //! * **Exact counters** — hits, misses, and evictions surface three ways:
 //!   per-call in the returned [`IoCharge`] (so stacked storage views
 //!   mirror them into their domains), aggregated in
@@ -51,19 +59,25 @@ const DEFAULT_SEGMENTS: usize = 8;
 /// Sentinel slot index for list ends and free slots.
 const NIL: usize = usize::MAX;
 
-/// One resident page: slab slot carrying the intrusive recency links.
+/// A page frame. Shared so a hit can copy it outside the segment lock.
+type Frame = Arc<Vec<u8>>;
+
+/// One resident page: slab slot carrying the intrusive recency links and
+/// the frame it keeps for the cache's whole life.
 struct Slot {
     key: PageKey,
-    data: Arc<[u8]>,
+    frame: Frame,
     prev: usize,
     next: usize,
 }
 
 /// One independently locked LRU segment: `map` finds the slot in O(1),
-/// the intrusive list orders recency, `free` recycles slots — every
-/// operation (hit, insert, evict, remove) is constant-time.
+/// the intrusive list orders recency, `free` recycles slots (frames
+/// included) — every operation (hit, insert, evict, remove) is
+/// constant-time.
 struct Segment {
     capacity: usize,
+    page_size: usize,
     map: HashMap<PageKey, usize>,
     slab: Vec<Slot>,
     free: Vec<usize>,
@@ -71,18 +85,39 @@ struct Segment {
     head: usize,
     /// Least recently used slot (the eviction victim).
     tail: usize,
+    /// Frames allocated to replace one a reader still held.
+    replaced: u64,
 }
 
 impl Segment {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, page_size: usize) -> Self {
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1024)),
+            page_size,
+            // Room for twice the capacity: when eviction churn exhausts the
+            // table, it is at most half full and rehashes in place instead
+            // of reallocating.
+            map: HashMap::with_capacity(2 * capacity),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
+            replaced: 0,
         }
+    }
+
+    /// Copies `data` into slot `i`'s frame in place. A frame a reader
+    /// still holds (a hit copies outside the lock) is left to that reader
+    /// and replaced, so no reader ever sees its page change.
+    fn fill(&mut self, i: usize, data: &[u8]) {
+        let frame = &mut self.slab[i].frame;
+        if Arc::get_mut(frame).is_none() {
+            *frame = Arc::new(Vec::with_capacity(self.page_size));
+            self.replaced += 1;
+        }
+        let page = Arc::get_mut(frame).expect("frame is unshared");
+        page.clear();
+        page.extend_from_slice(data);
     }
 
     fn unlink(&mut self, i: usize) {
@@ -108,20 +143,20 @@ impl Segment {
     }
 
     /// Looks a page up, promoting it to most-recently-used on a hit.
-    fn get(&mut self, key: PageKey) -> Option<Arc<[u8]>> {
+    fn get(&mut self, key: PageKey) -> Option<Frame> {
         let &i = self.map.get(&key)?;
         if self.head != i {
             self.unlink(i);
             self.push_front(i);
         }
-        Some(Arc::clone(&self.slab[i].data))
+        Some(Arc::clone(&self.slab[i].frame))
     }
 
-    /// Inserts (or refreshes) a page, returning how many pages were
-    /// evicted to make room (0 or 1).
-    fn insert(&mut self, key: PageKey, data: Arc<[u8]>) -> u64 {
+    /// Inserts (or refreshes) a page by copying it into its slot's frame,
+    /// returning how many pages were evicted to make room (0 or 1).
+    fn insert(&mut self, key: PageKey, data: &[u8]) -> u64 {
         if let Some(&i) = self.map.get(&key) {
-            self.slab[i].data = data;
+            self.fill(i, data);
             if self.head != i {
                 self.unlink(i);
                 self.push_front(i);
@@ -137,26 +172,24 @@ impl Segment {
             self.free.push(victim);
             evicted = 1;
         }
+        // Reuse a free slot's frame; a new slot (at most `capacity` of
+        // them) allocates its frame once.
         let i = match self.free.pop() {
             Some(i) => {
-                self.slab[i] = Slot {
-                    key,
-                    data,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.slab[i].key = key;
                 i
             }
             None => {
                 self.slab.push(Slot {
                     key,
-                    data,
+                    frame: Arc::new(Vec::with_capacity(self.page_size)),
                     prev: NIL,
                     next: NIL,
                 });
                 self.slab.len() - 1
             }
         };
+        self.fill(i, data);
         self.map.insert(key, i);
         self.push_front(i);
         evicted
@@ -216,8 +249,9 @@ impl<S: Storage> BlockCache<S> {
         // Distribute the capacity exactly: the first `capacity % segments`
         // segments take one extra page.
         let (base, rem) = (capacity_pages / segments, capacity_pages % segments);
+        let page_size = inner.page_size();
         let segments = (0..segments)
-            .map(|i| Mutex::new(Segment::new(base + usize::from(i < rem))))
+            .map(|i| Mutex::new(Segment::new(base + usize::from(i < rem), page_size)))
             .collect();
         Arc::new(Self {
             inner,
@@ -253,6 +287,13 @@ impl<S: Storage> BlockCache<S> {
         self.evictions.load(Ordering::Relaxed)
     }
 
+    /// Number of frames allocated because a concurrent hit still held
+    /// the one an insert was about to refill — the only allocation a full
+    /// cache makes.
+    pub fn frame_replacements(&self) -> u64 {
+        self.segments.iter().map(|s| s.lock().replaced).sum()
+    }
+
     /// Hit ratio in `[0, 1]`; zero when no reads have occurred.
     pub fn hit_ratio(&self) -> f64 {
         let h = self.hits() as f64;
@@ -269,7 +310,14 @@ impl<S: Storage> BlockCache<S> {
         self.segments.iter().map(|s| s.lock().len()).sum()
     }
 
-    fn insert(&self, key: PageKey, data: Arc<[u8]>) -> u64 {
+    /// Page frames the cache owns: one per slot ever created, never more
+    /// than the capacity.
+    #[cfg(test)]
+    fn frames(&self) -> usize {
+        self.segments.iter().map(|s| s.lock().slab.len()).sum()
+    }
+
+    fn insert(&self, key: PageKey, data: &[u8]) -> u64 {
         let evicted = self.segment(key).lock().insert(key, data);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         evicted
@@ -289,8 +337,7 @@ impl<S: Storage> Storage for BlockCache<S> {
         // Write-through: persist first (a rejected write caches nothing),
         // then keep the cache coherent.
         let mut charge = self.inner.write_page(ext, idx, data);
-        charge.io.cache_evictions +=
-            self.insert((ext.id, idx), Arc::from(data.to_vec().into_boxed_slice()));
+        charge.io.cache_evictions += self.insert((ext.id, idx), data);
         charge
     }
 
@@ -316,8 +363,7 @@ impl<S: Storage> Storage for BlockCache<S> {
             // typed, and the cache never holds a torn page.
             let mut charge = self.inner.try_read_page(ext, idx, buf)?;
             charge.io.cache_misses = 1;
-            charge.io.cache_evictions +=
-                self.insert((ext.id, idx), Arc::from(buf.clone().into_boxed_slice()));
+            charge.io.cache_evictions += self.insert((ext.id, idx), buf);
             Ok(charge)
         }
     }
@@ -560,6 +606,79 @@ mod tests {
         assert_eq!(m.cache_hits, 4);
         assert_eq!(m.cache_misses, 0);
         assert_eq!(m.cache_evictions, 0);
+    }
+
+    /// A reader holding a frame (a hit between its lookup and its copy)
+    /// keeps its page's bytes when the slot is recycled for another page.
+    #[test]
+    fn held_frame_survives_slot_recycling() {
+        let (cache, _) = setup_lru(1);
+        let ext = cache.allocate(2);
+        cache.write_page(ext, 0, &[1; 64]);
+        let held = cache.segment((ext.id, 0)).lock().get((ext.id, 0)).unwrap();
+        cache.write_page(ext, 1, &[2; 64]); // evicts page 0, recycles its slot
+        assert_eq!(&held[..], &[1; 64][..], "a held frame must never change");
+        assert!(
+            !Arc::ptr_eq(
+                &held,
+                &cache.segment((ext.id, 1)).lock().get((ext.id, 1)).unwrap()
+            ),
+            "a held frame must be replaced, not refilled"
+        );
+        let mut buf = Vec::new();
+        cache.read_page(ext, 1, &mut buf);
+        assert_eq!(buf, [2; 64]);
+        assert_eq!(cache.frames(), 1);
+        assert_eq!(cache.frame_replacements(), 1);
+    }
+
+    /// A short page (a run's partial last page) refilling a frame that
+    /// last held a full page reads back at exactly its own length.
+    #[test]
+    fn short_page_in_a_full_frame_has_no_stale_tail() {
+        let (cache, disk) = setup_lru(1);
+        let ext = cache.allocate(2);
+        cache.write_page(ext, 0, &[0xaa; 128]);
+        cache.write_page(ext, 1, &[7; 10]); // refills page 0's frame in place
+        let mut buf = Vec::with_capacity(128);
+        cache.read_page(ext, 1, &mut buf);
+        assert_eq!(disk.metrics().pages_read, 0, "served by the cache");
+        assert_eq!(buf, [7; 10]);
+        cache.read_page(ext, 0, &mut buf); // miss: the short page's frame again
+        assert_eq!(buf, [0xaa; 128]);
+        cache.read_page(ext, 0, &mut buf);
+        assert_eq!(buf, [0xaa; 128], "the hit serves the whole page");
+        assert_eq!(cache.frame_replacements(), 0, "refilled in place");
+    }
+
+    /// Frames are allocated once per slot: churn through 10× the capacity,
+    /// extent purges and held frames never leave the
+    /// cache owning more frames than its capacity.
+    #[test]
+    fn frames_never_exceed_capacity() {
+        let (cache, _) = setup(13);
+        let mut buf = Vec::new();
+        for round in 0..10u8 {
+            let ext = cache.allocate(13);
+            for i in 0..13 {
+                cache.write_page(ext, i, &[round; 32]);
+            }
+            let held = cache.segment((ext.id, 0)).lock().get((ext.id, 0));
+            for i in 0..13 {
+                cache.read_page(ext, 12 - i, &mut buf);
+                assert_eq!(buf, [round; 32]);
+            }
+            drop(held);
+            if round % 3 == 0 {
+                cache.free(ext);
+            }
+            assert!(
+                cache.frames() <= 13,
+                "round {round}: {} frames",
+                cache.frames()
+            );
+        }
+        assert!(cache.evictions() > 0);
     }
 
     /// Concurrent readers through the sharded segments: results stay

@@ -20,7 +20,10 @@
 //! * [`CostModel`] — per-page I/O latencies plus the CPU cost constants
 //!   (`c_r`, `c_w`) used by the paper's white-box model (§5.2, Eq. 5).
 //! * [`SimulatedDisk`] — page store with exact I/O accounting.
-//! * [`BlockCache`] — sharded, O(1)-eviction LRU page cache. Disabled by
+//! * [`BlockCache`] — sharded, O(1)-eviction LRU page cache with bounded
+//!   memory: each slot owns one page frame, allocated once and refilled in
+//!   place, so a full cache makes no heap allocation at steady state and
+//!   holds capacity × page size whichever threads fill it. Disabled by
 //!   default on the simulated backend (matching the paper's direct-I/O
 //!   setup, so virtual accounting stays bit-identical); the persistent
 //!   store serves each shard's file disk through one.
