@@ -15,10 +15,11 @@
 
 use std::sync::Arc;
 
-use ruskey::db::{RusKey, RusKeyConfig};
+use ruskey::db::RusKeyConfig;
 use ruskey::dqn_lerp::DqnLerp;
 use ruskey::lerp::{Lerp, LerpConfig, PropagationScheme};
 use ruskey::runner::{converged_mean_latency, run_static, ExperimentScale};
+use ruskey::sharded::ShardedRusKey;
 use ruskey::tuner::{FixedPolicy, Tuner};
 use ruskey_analysis::cost::{optimal_k_int, CostParams};
 use ruskey_lsm::bloom::fpr_for_bits;
@@ -104,11 +105,13 @@ pub fn ablation_cache(scale: &ExperimentScale) -> Vec<AblationRow> {
             } else {
                 base
             };
-            let mut db = RusKey::with_tuner(
+            let mut db = ShardedRusKey::try_with_tuner(
                 RusKeyConfig::scaled_default(),
+                1,
                 storage,
                 Box::new(FixedPolicy::new(k)),
-            );
+            )
+            .expect("scaled defaults are valid");
             db.bulk_load(bulk_load_pairs(
                 scale.load_entries,
                 scale.key_len,

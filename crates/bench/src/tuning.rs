@@ -32,6 +32,7 @@ use std::collections::BTreeSet;
 
 use bytes::Bytes;
 use ruskey::db::RusKeyConfig;
+use ruskey::lerp::Lerp;
 use ruskey::runner::ExperimentScale;
 use ruskey::sharded::ShardedRusKey;
 use ruskey_workload::routing::BalanceConfig;
@@ -188,10 +189,12 @@ fn run_tuning_row(
 ) -> TuningRow {
     let cfg = tuning_cfg(scale);
     let mut db = if strategy == "global" {
-        ShardedRusKey::with_lerp(cfg, SHARDS, scale.disk())
+        let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
+        ShardedRusKey::try_with_tuner(cfg, SHARDS, scale.disk(), lerp)
     } else {
-        ShardedRusKey::with_per_shard_lerp(cfg, SHARDS, scale.disk())
-    };
+        ShardedRusKey::try_with_per_shard_lerp(cfg, SHARDS, scale.disk())
+    }
+    .expect("tuning config is valid");
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,

@@ -1,23 +1,18 @@
-//! The RusKey store: FLSM-tree + tuner + statistics collector (paper §3).
+//! Store configuration: the FLSM-tree settings plus the Lerp tuner's.
 
-use std::sync::Arc;
-use std::time::Instant;
+use ruskey_lsm::{BloomScheme, LsmConfig, TransitionStrategy};
 
-use bytes::Bytes;
-use ruskey_lsm::{BloomScheme, ConfigError, FlsmTree, LsmConfig, TransitionStrategy};
-use ruskey_storage::Storage;
-use ruskey_workload::Operation;
+use crate::lerp::{LerpConfig, PropagationScheme};
 
-use crate::lerp::{Lerp, LerpConfig, PropagationScheme};
-use crate::stats::{MissionReport, StatsCollector};
-use crate::tuner::{NoOpTuner, TreeObservation, Tuner};
-
-/// Configuration of a [`RusKey`] instance.
+/// Configuration of a [`ShardedRusKey`](crate::sharded::ShardedRusKey)
+/// store; every shard's tree is built from the same `lsm` settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RusKeyConfig {
     /// The underlying FLSM-tree configuration.
     pub lsm: LsmConfig,
-    /// Lerp configuration (used by [`RusKey::with_lerp`]).
+    /// Lerp configuration (read by
+    /// [`ShardedRusKey::try_with_per_shard_lerp`](crate::sharded::ShardedRusKey::try_with_per_shard_lerp)
+    /// and by callers that build a [`Lerp`](crate::lerp::Lerp) tuner).
     pub lerp: LerpConfig,
 }
 
@@ -49,229 +44,17 @@ impl RusKeyConfig {
     }
 }
 
-/// An RL-tuned LSM-tree key-value store.
-pub struct RusKey {
-    tree: FlsmTree,
-    tuner: Box<dyn Tuner>,
-    collector: StatsCollector,
-    last_report: Option<MissionReport>,
-}
-
-/// Executes one workload operation against a tree, discarding read
-/// results (mission semantics: reads are performed for their cost, the
-/// caller does not consume their output). Shared by [`RusKey`] and the
-/// per-shard workers of [`crate::sharded::ShardedRusKey`].
-pub(crate) fn execute_op(tree: &mut FlsmTree, op: &Operation) {
-    match op {
-        Operation::Get { key } => {
-            tree.get(key);
-        }
-        Operation::Put { key, value } => {
-            tree.put(key.clone(), value.clone());
-        }
-        Operation::Delete { key } => {
-            tree.delete(key.clone());
-        }
-        Operation::Scan { start, end, limit } => {
-            tree.scan(start, end, *limit);
-        }
-    }
-}
-
-/// Lets a tuner act on a finished mission: runs it on the aggregated
-/// report and observation, applies its `(level, K)` changes through
-/// `apply`, and records the model-update time on the report. Shared by
-/// [`RusKey`] (applying to its one tree) and
-/// [`crate::sharded::ShardedRusKey`] (fanning out to every shard) so
-/// tuning bookkeeping cannot diverge between the two.
-pub(crate) fn tune_mission(
-    tuner: &mut dyn Tuner,
-    report: &mut MissionReport,
-    obs: &TreeObservation,
-    mut apply: impl FnMut(usize, u32),
-) {
-    let model_before = tuner.model_update_ns();
-    let changes = tuner.tune(report, obs);
-    for (level, k) in changes {
-        apply(level, k);
-    }
-    report.model_update_ns = tuner.model_update_ns().saturating_sub(model_before);
-}
-
-impl RusKey {
-    /// Creates a store driven by an arbitrary tuner, rejecting invalid
-    /// configurations instead of panicking.
-    pub fn try_with_tuner(
-        cfg: RusKeyConfig,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-    ) -> Result<Self, ConfigError> {
-        Ok(Self {
-            tree: FlsmTree::try_new(cfg.lsm, storage)?,
-            tuner,
-            collector: StatsCollector::new(),
-            last_report: None,
-        })
-    }
-
-    /// Creates a store tuned by Lerp, rejecting invalid configurations
-    /// instead of panicking.
-    pub fn try_with_lerp(
-        cfg: RusKeyConfig,
-        storage: Arc<dyn Storage>,
-    ) -> Result<Self, ConfigError> {
-        let lerp = Lerp::new(cfg.lerp.clone());
-        Self::try_with_tuner(cfg, storage, Box::new(lerp))
-    }
-
-    /// Creates a store driven by an arbitrary tuner (fixed baselines,
-    /// greedy heuristics, …).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid; use
-    /// [`RusKey::try_with_tuner`] for fallible construction.
-    pub fn with_tuner(cfg: RusKeyConfig, storage: Arc<dyn Storage>, tuner: Box<dyn Tuner>) -> Self {
-        Self::try_with_tuner(cfg, storage, tuner)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
-    }
-
-    /// Creates a store tuned by Lerp (the RusKey system of the paper).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid; use
-    /// [`RusKey::try_with_lerp`] for fallible construction.
-    pub fn with_lerp(cfg: RusKeyConfig, storage: Arc<dyn Storage>) -> Self {
-        Self::try_with_lerp(cfg, storage).unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
-    }
-
-    /// Creates an untuned store (whatever policies the tree starts with).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn untuned(cfg: RusKeyConfig, storage: Arc<dyn Storage>) -> Self {
-        Self::with_tuner(cfg, storage, Box::new(NoOpTuner))
-    }
-
-    /// The tuner's display name.
-    pub fn tuner_name(&self) -> String {
-        self.tuner.name()
-    }
-
-    /// Whether the tuner reports convergence.
-    pub fn tuner_converged(&self) -> bool {
-        self.tuner.converged()
-    }
-
-    /// Cumulative model-update time (Fig. 13).
-    pub fn model_update_ns(&self) -> u64 {
-        self.tuner.model_update_ns()
-    }
-
-    /// Direct access to the underlying tree.
-    pub fn tree(&self) -> &FlsmTree {
-        &self.tree
-    }
-
-    /// Mutable access to the underlying tree (experiments toggling
-    /// transition strategies etc.).
-    pub fn tree_mut(&mut self) -> &mut FlsmTree {
-        &mut self.tree
-    }
-
-    /// The report of the last processed mission.
-    pub fn last_report(&self) -> Option<&MissionReport> {
-        self.last_report.as_ref()
-    }
-
-    // ------------------------------------------------------------------
-    // Plain KV interface (outside missions)
-    // ------------------------------------------------------------------
-
-    /// Point lookup.
-    pub fn get(&mut self, key: &[u8]) -> Option<Bytes> {
-        self.tree.get(key)
-    }
-
-    /// Insert or overwrite.
-    pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
-        self.tree.put(key, value);
-    }
-
-    /// Delete.
-    pub fn delete(&mut self, key: impl Into<Bytes>) {
-        self.tree.delete(key);
-    }
-
-    /// Range scan over `[start, end)` with a result limit.
-    pub fn scan(&mut self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Bytes, Bytes)> {
-        self.tree.scan(start, end, limit)
-    }
-
-    // ------------------------------------------------------------------
-    // Mission-driven operation (the paper's workflow, Fig. 1)
-    // ------------------------------------------------------------------
-
-    /// Bulk-loads the store and resets the statistics baseline so mission
-    /// reports exclude the load.
-    pub fn bulk_load(&mut self, pairs: Vec<(Bytes, Bytes)>) {
-        self.tree.bulk_load(pairs);
-        self.collector.baseline(self.tree.stats());
-    }
-
-    /// Snapshot of the tree structure for tuners.
-    pub fn observe(&self) -> TreeObservation {
-        let n = self.tree.level_count();
-        TreeObservation {
-            policies: self.tree.policies(),
-            fills: (0..n).map(|i| self.tree.level_fill(i)).collect(),
-            run_counts: (0..n).map(|i| self.tree.level_run_count(i)).collect(),
-            size_ratio: self.tree.config().size_ratio,
-            level_count: n,
-        }
-    }
-
-    /// Processes one mission: executes the operations, builds the mission
-    /// report, lets the tuner act, and applies its policy changes via the
-    /// configured transition.
-    pub fn run_mission(&mut self, ops: &[Operation]) -> MissionReport {
-        let t0 = Instant::now();
-        for op in ops {
-            execute_op(&mut self.tree, op);
-        }
-        // Mission boundary is where deferred structural work runs: a few
-        // bounded maintenance steps per batch keep flushes and
-        // compactions off the operations above.
-        if self.tree.config().background_maintenance {
-            self.tree.maintain(4);
-        }
-        // Mission-boundary commit: with a WAL attached (via
-        // [`FlsmTree::attach_wal`]) the batch is acknowledged with a
-        // single fsync, mirroring the sharded store's group-commit
-        // barrier at N = 1 (one shard: barrier latency == total sync
-        // work, so both compositions carry the same value).
-        let (_, commit_ns) = self.tree.commit_wal_timed().expect("WAL commit failed");
-        let process_ns = t0.elapsed().as_nanos() as u64;
-        let mut report = self.collector.report_mission(self.tree.stats(), process_ns);
-        report.commit_ns = commit_ns;
-        report.commit_busy_ns = commit_ns;
-
-        let obs = self.observe();
-        tune_mission(self.tuner.as_mut(), &mut report, &obs, |level, k| {
-            self.tree.set_policy(level, k)
-        });
-        report.policies_after = self.tree.policies();
-        report.shard_policies_after = vec![self.tree.policies()];
-        self.last_report = Some(report.clone());
-        report
-    }
-}
-
+/// The paper's single-tree store is [`ShardedRusKey`](crate::sharded::ShardedRusKey)
+/// at `N = 1`; these tests pin its behaviour there.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::FixedPolicy;
+    use crate::lerp::Lerp;
+    use crate::sharded::ShardedRusKey;
+    use crate::tuner::{FixedPolicy, Tuner};
     use ruskey_storage::{CostModel, SimulatedDisk};
     use ruskey_workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
+    use std::sync::Arc;
 
     fn small_cfg() -> RusKeyConfig {
         let mut cfg = RusKeyConfig::scaled_default();
@@ -284,22 +67,30 @@ mod tests {
         SimulatedDisk::new(512, CostModel::NVME)
     }
 
+    fn with_tuner(tuner: Box<dyn Tuner>) -> ShardedRusKey {
+        ShardedRusKey::try_with_tuner(small_cfg(), 1, disk(), tuner).unwrap()
+    }
+
+    fn with_lerp() -> ShardedRusKey {
+        with_tuner(Box::new(Lerp::new(small_cfg().lerp)))
+    }
+
     #[test]
     fn try_constructors_reject_invalid_configs() {
         let mut cfg = small_cfg();
         cfg.lsm.size_ratio = 1;
-        assert!(RusKey::try_with_lerp(cfg.clone(), disk()).is_err());
-        let err = RusKey::try_with_tuner(cfg, disk(), Box::new(FixedPolicy::moderate()))
+        assert!(ShardedRusKey::try_with_per_shard_lerp(cfg.clone(), 1, disk()).is_err());
+        let err = ShardedRusKey::try_with_tuner(cfg, 1, disk(), Box::new(FixedPolicy::moderate()))
             .err()
             .expect("must reject T < 2");
         assert!(err.to_string().contains("size_ratio"));
         // Valid configs still construct.
-        assert!(RusKey::try_with_lerp(small_cfg(), disk()).is_ok());
+        assert!(ShardedRusKey::try_with_per_shard_lerp(small_cfg(), 1, disk()).is_ok());
     }
 
     #[test]
     fn kv_roundtrip() {
-        let mut db = RusKey::with_lerp(small_cfg(), disk());
+        let mut db = with_lerp();
         db.put(&b"alpha"[..], &b"1"[..]);
         db.put(&b"beta"[..], &b"2"[..]);
         assert_eq!(db.get(b"alpha").as_deref(), Some(&b"1"[..]));
@@ -310,7 +101,7 @@ mod tests {
 
     #[test]
     fn missions_report_composition_and_latency() {
-        let mut db = RusKey::with_tuner(small_cfg(), disk(), Box::new(FixedPolicy::moderate()));
+        let mut db = with_tuner(Box::new(FixedPolicy::moderate()));
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 500,
@@ -331,7 +122,7 @@ mod tests {
 
     #[test]
     fn fixed_tuner_applies_policy_in_first_mission() {
-        let mut db = RusKey::with_tuner(small_cfg(), disk(), Box::new(FixedPolicy::new(4)));
+        let mut db = with_tuner(Box::new(FixedPolicy::new(4)));
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 500,
@@ -349,7 +140,7 @@ mod tests {
 
     #[test]
     fn bulk_load_excluded_from_first_mission() {
-        let mut db = RusKey::untuned(small_cfg(), disk());
+        let mut db = ShardedRusKey::untuned(small_cfg(), 1, disk());
         db.bulk_load(bulk_load_pairs(2000, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 2000,
@@ -370,7 +161,7 @@ mod tests {
 
     #[test]
     fn lerp_store_tracks_model_time() {
-        let mut db = RusKey::with_lerp(small_cfg(), disk());
+        let mut db = with_lerp();
         db.bulk_load(bulk_load_pairs(500, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 500,

@@ -36,11 +36,12 @@
 //! **device-busy time** (sum over shards,
 //! [`stats::MissionReport::device_busy_ns`]).
 //!
-//! [`db::RusKey`] is the single-tree engine — the `N = 1` case the paper
-//! evaluates — and remains the harness used by all paper experiments. An
-//! `N`-shard store is observationally equivalent to it for the same
-//! operation sequence (same get/scan results; identical mission counters at
-//! `N = 1`), which the integration suite asserts property-style.
+//! There is one engine. The paper's single-tree store is the `N = 1`
+//! `ShardedRusKey`, and every paper experiment ([`runner`]) runs on it. Its
+//! mission counters equal those of a bare FLSM-tree driven through the
+//! paper's mission loop, and an `N`-shard store returns the same get/scan
+//! results for the same operation sequence; the integration suite asserts
+//! both property-style.
 //!
 //! Two tuning models matter:
 //!
@@ -53,19 +54,24 @@
 //!   (Fig. 12), and brute-force RL variants (§7) for comparison.
 //!
 //! ```
-//! use ruskey::db::{RusKey, RusKeyConfig};
+//! use ruskey::db::RusKeyConfig;
+//! use ruskey::lerp::Lerp;
 //! use ruskey::sharded::ShardedRusKey;
 //! use ruskey_storage::{CostModel, SimulatedDisk};
 //!
-//! // The paper's single-tree store…
+//! // The paper's single-tree store, tuned by Lerp…
+//! let cfg = RusKeyConfig::scaled_default();
+//! let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
 //! let disk = SimulatedDisk::new(4096, CostModel::NVME);
-//! let mut db = RusKey::with_lerp(RusKeyConfig::scaled_default(), disk);
+//! let mut db = ShardedRusKey::try_with_tuner(cfg, 1, disk, lerp).unwrap();
 //! db.put(&b"k"[..], &b"v"[..]);
 //! assert_eq!(db.get(b"k").as_deref(), Some(&b"v"[..]));
 //!
-//! // …and the same engine hash-partitioned across four shards.
+//! // …and the same engine hash-partitioned across four shards, one Lerp
+//! // agent per shard.
 //! let disk = SimulatedDisk::new(4096, CostModel::NVME);
-//! let mut db = ShardedRusKey::with_lerp(RusKeyConfig::scaled_default(), 4, disk);
+//! let mut db =
+//!     ShardedRusKey::try_with_per_shard_lerp(RusKeyConfig::scaled_default(), 4, disk).unwrap();
 //! db.put(&b"k"[..], &b"v"[..]);
 //! assert_eq!(db.get(b"k").as_deref(), Some(&b"v"[..]));
 //! ```
@@ -82,7 +88,7 @@ pub mod state;
 pub mod stats;
 pub mod tuner;
 
-pub use db::{RusKey, RusKeyConfig};
+pub use db::RusKeyConfig;
 pub use dqn_lerp::DqnLerp;
 pub use frontend::{MetricsSnapshot, ServingClient, ServingConfig, ServingError, ServingFrontend};
 pub use lerp::{Lerp, LerpConfig};

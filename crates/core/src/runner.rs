@@ -1,6 +1,7 @@
 //! Experiment runner: the shared harness behind every figure and table.
 //!
-//! Runs a store (RusKey or a baseline) over a mission schedule, recording a
+//! Runs the paper's single-tree store — a one-shard [`ShardedRusKey`],
+//! tuned by Lerp or a baseline — over a mission schedule, recording a
 //! per-mission time series of latency, policy, and model cost — exactly the
 //! series the paper plots.
 
@@ -9,7 +10,8 @@ use std::sync::Arc;
 use ruskey_storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_workload::{bulk_load_pairs, DynamicWorkload, MissionStream, OpGenerator, WorkloadSpec};
 
-use crate::db::{RusKey, RusKeyConfig};
+use crate::db::RusKeyConfig;
+use crate::sharded::ShardedRusKey;
 use crate::stats::MissionReport;
 use crate::tuner::Tuner;
 
@@ -122,9 +124,17 @@ impl ExperimentScale {
     }
 }
 
-/// Builds a bulk-loaded store with the given tuner.
-pub fn prepared_store(cfg: RusKeyConfig, scale: &ExperimentScale, tuner: Box<dyn Tuner>) -> RusKey {
-    let mut db = RusKey::with_tuner(cfg, scale.disk(), tuner);
+/// Builds a bulk-loaded one-shard store with the given tuner.
+///
+/// # Panics
+/// Panics if the configuration is invalid.
+pub fn prepared_store(
+    cfg: RusKeyConfig,
+    scale: &ExperimentScale,
+    tuner: Box<dyn Tuner>,
+) -> ShardedRusKey {
+    let mut db = ShardedRusKey::try_with_tuner(cfg, 1, scale.disk(), tuner)
+        .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"));
     db.bulk_load(bulk_load_pairs(
         scale.load_entries,
         scale.key_len,

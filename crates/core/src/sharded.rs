@@ -1,7 +1,9 @@
-//! The sharded engine core: hash-partitioned FLSM shards behind one store.
+//! The store: hash-partitioned FLSM shards behind one engine.
 //!
-//! [`ShardedRusKey`] scales the single-tree [`RusKey`](crate::db::RusKey)
-//! across cores: keys are hash-partitioned onto `N` independent
+//! [`ShardedRusKey`] is the paper's store — FLSM-tree, tuner and
+//! statistics collector (§3) — and the paper's single-tree store is its
+//! `N = 1` case: every figure and table runs on a one-shard store. At
+//! larger `N` keys are hash-partitioned onto independent
 //! [`FlsmTree`] shards (each with its own memtable and levels) that share
 //! one storage device, and missions execute in parallel on a **persistent
 //! worker pool** — one long-lived OS thread per shard, spawned once at
@@ -21,8 +23,9 @@
 //! applied only to the owning shard — so under skew each shard's tree
 //! converges to *its* workload. At `N = 1` the two strategies are
 //! bit-identical (`tests/tuning_equivalence.rs` pins it), and a
-//! one-shard store is behaviourally identical to
-//! [`RusKey`](crate::db::RusKey) — all paper experiments remain valid.
+//! one-shard store's mission counters equal those of a bare
+//! [`FlsmTree`] driven through the paper's mission loop
+//! (`tests/sharded_equivalence.rs` pins it).
 //!
 //! Orthogonally, [`ShardedRusKey::enable_balancing`] arms **hot-shard
 //! mitigation**: a decayed [`LoadSketch`] (per-shard op counters + a
@@ -169,7 +172,7 @@ use ruskey_storage::{BlockCache, CostModel, FileDisk, ShardStorage, Storage};
 use ruskey_workload::routing::{shard_for_key, BalanceConfig, LoadSketch, RoutingTable};
 use ruskey_workload::Operation;
 
-use crate::db::{execute_op, RusKeyConfig};
+use crate::db::RusKeyConfig;
 use crate::frontend::{
     self, MetricsSnapshot, ServeShared, ServingConfig, ServingFrontend, ShardRequest,
 };
@@ -319,8 +322,9 @@ pub enum OpenError {
     Config(ConfigError),
     /// A WAL file could not be created, read, or truncated.
     Io(std::io::Error),
-    /// Recovery found shard logs beyond the requested shard count —
-    /// proceeding would silently drop their acknowledged writes.
+    /// Recovery found a different number of shard logs than the requested
+    /// shard count — proceeding would silently drop or misroute their
+    /// acknowledged writes.
     ShardCountMismatch {
         /// Number of shard logs the directory describes (highest
         /// `shard-<i>.wal` index + 1).
@@ -598,6 +602,26 @@ fn commit_leg(tree: &mut FlsmTree) -> CommitLeg {
     }
 }
 
+/// Executes one workload operation against a shard's tree, discarding
+/// read results (mission semantics: reads are performed for their cost,
+/// the caller does not consume their output).
+fn execute_op(tree: &mut FlsmTree, op: &Operation) {
+    match op {
+        Operation::Get { key } => {
+            tree.get(key);
+        }
+        Operation::Put { key, value } => {
+            tree.put(key.clone(), value.clone());
+        }
+        Operation::Delete { key } => {
+            tree.delete(key.clone());
+        }
+        Operation::Scan { start, end, limit } => {
+            tree.scan(start, end, *limit);
+        }
+    }
+}
+
 /// The run loop of one shard worker: executes jobs until the store drops
 /// the shard's queue (shutdown), returning every tree with its reply. A
 /// panic unwinds through the loop — the in-flight tree and the queue die
@@ -852,8 +876,8 @@ impl ShardedRusKey {
 
     /// Creates a sharded store with an independent Lerp instance per
     /// shard. Shard 0 keeps `cfg.lerp.seed` unchanged — which is what
-    /// makes a one-shard per-shard store bit-identical to the global
-    /// [`ShardedRusKey::try_with_lerp`] path — and shard `i` derives its
+    /// makes a one-shard per-shard store bit-identical to a global store
+    /// tuned by `Lerp::new(cfg.lerp)` — and shard `i` derives its
     /// seed as `seed + i·104729` (the same prime-stride idiom as
     /// [`crate::tuner::PerLevelNoPropagation`]), so sibling agents
     /// explore independently.
@@ -871,19 +895,6 @@ impl ShardedRusKey {
             })
             .collect();
         Self::try_with_tuners(cfg, storage, tuners)
-    }
-
-    /// Panicking form of [`ShardedRusKey::try_with_per_shard_lerp`].
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn with_per_shard_lerp(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-    ) -> Self {
-        Self::try_with_per_shard_lerp(cfg, shards, storage)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
     }
 
     /// Assembles the store around its trees and tuning, spawning the
@@ -1074,7 +1085,7 @@ impl ShardedRusKey {
     ///
     /// Per-shard WALs recover independently, which is exactly why the
     /// routing hash must stay stable: the same `shards` count must be
-    /// passed that produced the logs.
+    /// passed that produced the logs; any other count is refused.
     pub fn recover(
         cfg: RusKeyConfig,
         shards: usize,
@@ -1085,9 +1096,11 @@ impl ShardedRusKey {
         assert!(shards >= 1, "a store needs at least one shard");
         cfg.lsm.validate()?;
         std::fs::create_dir_all(&durability.dir)?;
-        // Refuse to recover fewer shards than the directory describes:
-        // the extra logs hold acknowledged writes that would otherwise
-        // vanish silently (the routing hash keys on the shard count).
+        // Every durable shard creates its log at open, so the directory
+        // describes its exact creation count: recovery must match it in
+        // both directions — fewer shards would drop the extra logs'
+        // acknowledged writes, more would misroute them (the routing hash
+        // keys on the shard count) behind empty shards.
         let mut logs = 0usize;
         for entry in std::fs::read_dir(&durability.dir)? {
             let name = entry?.file_name();
@@ -1100,7 +1113,7 @@ impl ShardedRusKey {
                 logs = logs.max(idx + 1);
             }
         }
-        if logs > shards {
+        if logs != 0 && logs != shards {
             return Err(OpenError::ShardCountMismatch { logs, shards });
         }
         let trees = (0..shards)
@@ -1124,47 +1137,13 @@ impl ShardedRusKey {
         Ok(store)
     }
 
-    /// Creates a sharded store tuned by Lerp, rejecting invalid
-    /// configurations instead of panicking.
-    pub fn try_with_lerp(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-    ) -> Result<Self, ConfigError> {
-        let lerp = Lerp::new(cfg.lerp.clone());
-        Self::try_with_tuner(cfg, shards, storage, Box::new(lerp))
-    }
-
-    /// Creates a sharded store driven by an arbitrary tuner.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn with_tuner(
-        cfg: RusKeyConfig,
-        shards: usize,
-        storage: Arc<dyn Storage>,
-        tuner: Box<dyn Tuner>,
-    ) -> Self {
-        Self::try_with_tuner(cfg, shards, storage, tuner)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
-    }
-
-    /// Creates a sharded store tuned by Lerp (the RusKey system of the
-    /// paper, scaled across shards).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid or `shards` is zero.
-    pub fn with_lerp(cfg: RusKeyConfig, shards: usize, storage: Arc<dyn Storage>) -> Self {
-        Self::try_with_lerp(cfg, shards, storage)
-            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
-    }
-
     /// Creates an untuned sharded store.
     ///
     /// # Panics
     /// Panics if the configuration is invalid or `shards` is zero.
     pub fn untuned(cfg: RusKeyConfig, shards: usize, storage: Arc<dyn Storage>) -> Self {
-        Self::with_tuner(cfg, shards, storage, Box::new(NoOpTuner))
+        Self::try_with_tuner(cfg, shards, storage, Box::new(NoOpTuner))
+            .unwrap_or_else(|e| panic!("invalid RusKeyConfig: {e}"))
     }
 
     /// Number of shards.
@@ -1665,7 +1644,7 @@ impl ShardedRusKey {
     /// let policies diverge; the mode is exact whenever shards agree
     /// (the whole global-tuning regime) and representative otherwise.
     /// For a one-shard store this equals
-    /// [`RusKey::observe`](crate::db::RusKey::observe).
+    /// [`ShardedRusKey::observe_shard`]`(0)`.
     pub fn observe(&self) -> TreeObservation {
         let trees: Vec<&FlsmTree> = (0..self.shards.len()).map(|i| self.tree(i)).collect();
         let level_count = trees.iter().map(|t| t.level_count()).max().unwrap_or(0);
@@ -1691,8 +1670,8 @@ impl ShardedRusKey {
     }
 
     /// One shard's structure snapshot, built from that shard's levels
-    /// only — the observation a per-shard tuner acts on. Mirrors
-    /// [`RusKey::observe`](crate::db::RusKey::observe) exactly.
+    /// only — the observation a per-shard tuner acts on: the tree's own
+    /// policies, fills and run counts, level by level.
     pub fn observe_shard(&self, idx: usize) -> TreeObservation {
         let tree = self.tree(idx);
         let n = tree.level_count();
@@ -1853,7 +1832,7 @@ impl ShardedRusKey {
                 let Tuning::Global(tuner) = &mut self.tuning else {
                     unreachable!("strategy checked above")
                 };
-                crate::db::tune_mission(tuner.as_mut(), &mut report, &obs, |level, k| {
+                tune_mission(tuner.as_mut(), &mut report, &obs, |level, k| {
                     for tree in self.shards.iter_mut().flatten() {
                         tree.set_policy(level, k);
                     }
@@ -1882,7 +1861,7 @@ impl ShardedRusKey {
                     let tree = self.shards[i]
                         .as_mut()
                         .expect("every tree is home after dispatch");
-                    crate::db::tune_mission(tuner.as_mut(), &mut slices[i], &obs[i], |level, k| {
+                    tune_mission(tuner.as_mut(), &mut slices[i], &obs[i], |level, k| {
                         tree.set_policy(level, k);
                     });
                     report.model_update_ns += slices[i].model_update_ns;
@@ -2235,6 +2214,24 @@ fn load_routes(path: &std::path::Path) -> Result<Vec<(Bytes, usize, usize)>, Ope
     Ok(out)
 }
 
+/// Lets a tuner act on a finished mission: runs it on the report and
+/// observation, applies its `(level, K)` changes through `apply`, and
+/// records the model-update time on the report. The global and per-shard
+/// strategies share it so their tuning bookkeeping cannot diverge.
+fn tune_mission(
+    tuner: &mut dyn Tuner,
+    report: &mut MissionReport,
+    obs: &TreeObservation,
+    mut apply: impl FnMut(usize, u32),
+) {
+    let model_before = tuner.model_update_ns();
+    let changes = tuner.tune(report, obs);
+    for (level, k) in changes {
+        apply(level, k);
+    }
+    report.model_update_ns = tuner.model_update_ns().saturating_sub(model_before);
+}
+
 /// Folds per-shard commit legs into the barrier composition: latency is
 /// the max (the legs ran concurrently), work the sum.
 fn commit_stats(dones: &[ShardDone]) -> CommitStats {
@@ -2335,6 +2332,8 @@ mod tests {
         }
         db.delete(ruskey_workload::encode_key(7, 16));
         assert_eq!(db.get(&ruskey_workload::encode_key(7, 16)), None);
+        let all = db.scan(&[0u8], &[0xffu8], 1000);
+        assert_eq!(all.len(), 199, "the delete is visible to scans");
     }
 
     #[test]
@@ -2363,8 +2362,13 @@ mod tests {
 
     #[test]
     fn mission_reports_aggregate_all_shards() {
-        let mut db =
-            ShardedRusKey::with_tuner(small_cfg(), 4, disk(), Box::new(FixedPolicy::moderate()));
+        let mut db = ShardedRusKey::try_with_tuner(
+            small_cfg(),
+            4,
+            disk(),
+            Box::new(FixedPolicy::moderate()),
+        )
+        .unwrap();
         db.bulk_load(bulk_load_pairs(1000, 16, 48, 1));
         let spec = WorkloadSpec {
             key_space: 1000,
@@ -2382,10 +2386,13 @@ mod tests {
         assert_eq!(db.last_worker_threads().len(), 4);
     }
 
+    /// A fixed tuner's policy lands on every level of every shard in the
+    /// very first mission.
     #[test]
     fn policy_fanout_reaches_every_shard() {
         let mut db =
-            ShardedRusKey::with_tuner(small_cfg(), 3, disk(), Box::new(FixedPolicy::new(4)));
+            ShardedRusKey::try_with_tuner(small_cfg(), 3, disk(), Box::new(FixedPolicy::new(4)))
+                .unwrap();
         db.bulk_load(bulk_load_pairs(900, 16, 48, 3));
         let spec = WorkloadSpec {
             key_space: 900,
@@ -2393,7 +2400,12 @@ mod tests {
             ..WorkloadSpec::scaled_default(900)
         };
         let mut g = OpGenerator::new(spec, 5);
-        db.run_mission(&g.take_ops(300));
+        let r = db.run_mission(&g.take_ops(300));
+        assert!(
+            r.policies_after.iter().all(|&k| k == 4),
+            "{:?}",
+            r.policies_after
+        );
         for s in 0..db.shard_count() {
             let tree = db.shard(s);
             for lvl in 0..tree.level_count() {

@@ -1,18 +1,27 @@
-//! Quickstart: open a RusKey store, use the KV API, then let the tuner
-//! drive a short mission loop.
+//! Quickstart: open the paper's store (one shard, tuned by Lerp), use the
+//! KV API, then let the tuner drive a short mission loop.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::db::RusKeyConfig;
+use ruskey_repro::ruskey::lerp::Lerp;
+use ruskey_repro::ruskey::sharded::ShardedRusKey;
 use ruskey_repro::storage::{CostModel, SimulatedDisk};
 use ruskey_repro::workload::{bulk_load_pairs, OpGenerator, OpMix, WorkloadSpec};
 
-fn main() {
-    // A simulated NVMe-like device: deterministic, exact I/O accounting.
+/// A one-shard store tuned by Lerp on a simulated NVMe-like device
+/// (deterministic, exact I/O accounting).
+fn open_store() -> ShardedRusKey {
+    let cfg = RusKeyConfig::scaled_default();
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
     let disk = SimulatedDisk::new(4096, CostModel::NVME);
-    let mut db = RusKey::with_lerp(RusKeyConfig::scaled_default(), disk);
+    ShardedRusKey::try_with_tuner(cfg, 1, disk, lerp).expect("scaled defaults are valid")
+}
+
+fn main() {
+    let mut db = open_store();
 
     // --- Plain key-value usage -----------------------------------------
     db.put(&b"greeting"[..], &b"hello, LSM"[..]);
@@ -32,15 +41,12 @@ fn main() {
     // Load a working set, then stream missions; the Lerp tuner adjusts the
     // compaction policy between missions.
     let n = 20_000;
-    db = RusKey::with_lerp(
-        RusKeyConfig::scaled_default(),
-        SimulatedDisk::new(4096, CostModel::NVME),
-    );
+    db = open_store();
     db.bulk_load(bulk_load_pairs(n, 16, 112, 7));
     println!(
         "\nbulk-loaded {n} entries into {} levels, policies {:?}",
-        db.tree().level_count(),
-        db.tree().policies()
+        db.shard(0).level_count(),
+        db.shard(0).policies()
     );
 
     let spec = WorkloadSpec::scaled_default(n).with_mix(OpMix::write_heavy());
@@ -58,5 +64,5 @@ fn main() {
             );
         }
     }
-    println!("\nfinal policies: {:?}", db.tree().policies());
+    println!("\nfinal policies: {:?}", db.shard(0).policies());
 }

@@ -31,9 +31,11 @@
 //! statistics and fans its per-level policy changes out to every shard —
 //! while `PerShard` gives every shard its own agent fed by that shard's
 //! exact signal (see the tuning section below).
-//! [`ruskey::db::RusKey`] remains the single-tree `N = 1` case
-//! used by all paper experiments; `tests/sharded_equivalence.rs` asserts
-//! the two are observationally equivalent, `tests/time_domains.rs`
+//! There is one engine: the paper's single-tree store is the `N = 1`
+//! case, and every paper experiment runs on it;
+//! `tests/sharded_equivalence.rs` asserts its mission counters equal a
+//! bare FLSM-tree driven through the paper's mission loop and that `N`
+//! shards return the same reads, `tests/time_domains.rs`
 //! asserts per-shard accounting exactness at `N ∈ {2, 4}`, and
 //! `tests/pool_stress.rs` pins pool reuse (stable worker threads across
 //! missions), single-threaded-replay determinism, and clean panic
@@ -276,7 +278,7 @@
 //! Under skewed key popularity the shards see *different* workloads, so
 //! one store-wide policy is the wrong answer for somebody.
 //! [`ruskey::sharded::TunerStrategy::PerShard`]
-//! ([`ShardedRusKey::with_per_shard_lerp`](ruskey::sharded::ShardedRusKey::with_per_shard_lerp))
+//! ([`ShardedRusKey::try_with_per_shard_lerp`](ruskey::sharded::ShardedRusKey::try_with_per_shard_lerp))
 //! runs one Lerp agent per shard, and the signal path is exact rather
 //! than averaged: each agent is rewarded from its shard's **reward
 //! slice** — the shard's own time-domain delta with its own commit leg,

@@ -16,7 +16,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use ruskey_repro::lsm::{FlsmTree, LsmConfig};
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::ShardedRusKey;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 
@@ -69,7 +69,7 @@ proptest! {
     /// 4}` shards, a background-maintenance `ShardedRusKey` — stepping
     /// its deferred work at mission boundaries every 24 ops, so reads
     /// routinely land between a merge being built and applied — returns
-    /// exactly what the quiescent inline-compacting store and a
+    /// exactly what a quiescent inline-compacting tree and a
     /// `BTreeMap` model return.
     #[test]
     fn background_store_is_bit_identical_to_quiescent(
@@ -78,7 +78,7 @@ proptest! {
     ) {
         let shards = [1usize, 2, 4][shards_idx];
         let mut bg = ShardedRusKey::untuned(cfg(true), shards, disk());
-        let mut quiet = RusKey::untuned(cfg(false), disk());
+        let mut quiet = FlsmTree::try_new(cfg(false).lsm, disk()).unwrap();
         let mut model: BTreeMap<Bytes, Bytes> = BTreeMap::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -139,7 +139,7 @@ proptest! {
 fn in_flight_merges_are_read_equivalent_at_each_shard_count() {
     for &shards in &[1usize, 2, 4] {
         let mut bg = ShardedRusKey::untuned(cfg(true), shards, disk());
-        let mut quiet = RusKey::untuned(cfg(false), disk());
+        let mut quiet = FlsmTree::try_new(cfg(false).lsm, disk()).unwrap();
         // 1201 distinct keys so every shard's resident set outgrows its
         // L0 capacity even at N = 4 — smaller spaces fit entirely in L0
         // and legitimately never compact.

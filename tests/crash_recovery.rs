@@ -480,6 +480,42 @@ fn recover_refuses_dropping_shard_logs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovering with *more* shards than the log directory describes is
+/// refused too: the routing hash keys on the shard count, so the extra
+/// shards would take over keys whose acknowledged writes sit in the
+/// existing logs, and reads of those keys would miss.
+#[test]
+fn recover_refuses_misrouting_into_extra_shards() {
+    let dir = wal_dir("extrashards");
+    let dur = DurabilityConfig::group_commit(&dir);
+    {
+        let mut db = durable_store(2, &dur);
+        for i in 0..20u64 {
+            db.put(key(i), val(i));
+        }
+        db.group_commit();
+    }
+    let err = ShardedRusKey::recover(
+        big_buffer_cfg(),
+        4,
+        disk(),
+        Box::new(ruskey_repro::ruskey::tuner::NoOpTuner),
+        &dur,
+    )
+    .err()
+    .expect("recovery at a larger shard count must be refused");
+    assert!(
+        err.to_string().contains("2 shards"),
+        "unhelpful error: {err}"
+    );
+    // The matching shard count still recovers everything.
+    let mut rec = recovered_store(2, &dur);
+    for i in 0..20u64 {
+        assert_eq!(rec.get(&key(i)).as_deref(), Some(val(i).as_slice()));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ----------------------------------------------------------------------
 // 2. Recovery equivalence proptest
 // ----------------------------------------------------------------------

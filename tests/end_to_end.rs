@@ -4,12 +4,20 @@
 use std::collections::BTreeMap;
 
 use ruskey_repro::lsm::{FlsmTree, LsmConfig, TransitionStrategy};
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::ruskey::db::RusKeyConfig;
+use ruskey_repro::ruskey::lerp::Lerp;
+use ruskey_repro::ruskey::sharded::ShardedRusKey;
 use ruskey_repro::ruskey::tuner::{FixedPolicy, GreedyHeuristic, LazyLeveling};
 use ruskey_repro::storage::{CostModel, SimulatedDisk};
 use ruskey_repro::workload::{
     bulk_load_pairs, encode_key, OpGenerator, OpMix, Operation, WorkloadSpec,
 };
+
+/// The paper's store: one shard, tuned by Lerp.
+fn lerp_store(cfg: RusKeyConfig, disk: std::sync::Arc<SimulatedDisk>) -> ShardedRusKey {
+    let lerp = Box::new(Lerp::new(cfg.lerp.clone()));
+    ShardedRusKey::try_with_tuner(cfg, 1, disk, lerp).unwrap()
+}
 
 fn small_lsm(transition: TransitionStrategy) -> LsmConfig {
     LsmConfig {
@@ -87,14 +95,14 @@ fn tree_matches_reference_model_under_policy_churn() {
     }
 }
 
-/// RusKey with a live tuner preserves all data while mutating policies.
+/// The store with a live tuner preserves all data while mutating policies.
 #[test]
 fn ruskey_preserves_data_while_tuning() {
     let mut cfg = RusKeyConfig::scaled_default();
     cfg.lsm.buffer_bytes = 4096;
     cfg.lsm.size_ratio = 4;
     let disk = SimulatedDisk::new(512, CostModel::NVME);
-    let mut db = RusKey::with_lerp(cfg, disk);
+    let mut db = lerp_store(cfg, disk);
 
     let n = 2000u64;
     db.bulk_load(bulk_load_pairs(n, 16, 48, 3));
@@ -134,7 +142,7 @@ fn baseline_tuners_respect_bounds() {
         cfg.lsm.size_ratio = 6;
         let disk = SimulatedDisk::new(512, CostModel::NVME);
         let name = tuner.name();
-        let mut db = RusKey::with_tuner(cfg, disk, tuner);
+        let mut db = ShardedRusKey::try_with_tuner(cfg, 1, disk, tuner).unwrap();
         db.bulk_load(bulk_load_pairs(1500, 16, 48, 5));
         let spec = WorkloadSpec {
             key_space: 1500,
@@ -161,7 +169,7 @@ fn monkey_scheme_end_to_end() {
     cfg.lsm.size_ratio = 4;
     let bloom = cfg.lsm.bloom;
     let disk = SimulatedDisk::new(512, CostModel::NVME);
-    let mut db = RusKey::with_lerp(cfg, disk);
+    let mut db = lerp_store(cfg, disk);
     db.bulk_load(bulk_load_pairs(3000, 16, 48, 7));
     let spec = WorkloadSpec {
         key_space: 3000,
@@ -179,7 +187,7 @@ fn monkey_scheme_end_to_end() {
     // Monkey property: bits per key non-increasing with depth.
     let t = 4;
     let mut prev = f64::INFINITY;
-    for lvl in 0..db.tree().level_count() {
+    for lvl in 0..db.shard(0).level_count() {
         let bits = bloom.bits_for_level(lvl, t);
         assert!(bits <= prev);
         prev = bits;

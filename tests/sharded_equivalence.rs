@@ -1,13 +1,15 @@
 //! Observational equivalence of the sharded engine core: an `N`-shard
-//! [`ShardedRusKey`] must behave exactly like the single-tree [`RusKey`]
+//! [`ShardedRusKey`] must behave exactly like a single bare [`FlsmTree`]
 //! for the same operation sequence — identical get/scan results for any
-//! `N`, and identical mission-report counters at `N = 1` — plus routing
-//! determinism and real OS-thread parallelism.
+//! `N`, and, at `N = 1`, mission-report counters identical to the tree
+//! driven through the paper's mission loop (`reference_mission`) — plus
+//! routing determinism and real OS-thread parallelism.
 //!
 //! `N = 1` is *not* an inline special case: it dispatches through the
 //! same persistent worker pool as every other shard count (a single
 //! worker thread), and the counter-equality test below is what pins that
-//! the pooled path reproduces the pre-pool seed behavior exactly.
+//! the pooled path — the store every paper experiment runs on —
+//! reproduces the direct single-tree loop exactly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,9 +17,11 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ruskey_repro::ruskey::db::{RusKey, RusKeyConfig};
+use ruskey_repro::lsm::FlsmTree;
+use ruskey_repro::ruskey::db::RusKeyConfig;
 use ruskey_repro::ruskey::sharded::ShardedRusKey;
-use ruskey_repro::ruskey::tuner::FixedPolicy;
+use ruskey_repro::ruskey::stats::{MissionReport, StatsCollector};
+use ruskey_repro::ruskey::tuner::{FixedPolicy, TreeObservation, Tuner};
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
 use ruskey_repro::workload::routing::shard_for_key;
 use ruskey_repro::workload::{
@@ -50,19 +54,71 @@ fn mixed_spec(key_space: u64) -> WorkloadSpec {
     })
 }
 
+/// The paper's mission loop (Fig. 1) run directly on one tree, with no
+/// worker pool: execute the ops, grant boundary maintenance, commit the
+/// WAL, build the report, then let the tuner observe the tree and set
+/// its policies.
+fn reference_mission(
+    tree: &mut FlsmTree,
+    collector: &mut StatsCollector,
+    tuner: &mut dyn Tuner,
+    ops: &[Operation],
+) -> MissionReport {
+    for op in ops {
+        match op {
+            Operation::Get { key } => {
+                tree.get(key);
+            }
+            Operation::Put { key, value } => tree.put(key.clone(), value.clone()),
+            Operation::Delete { key } => tree.delete(key.clone()),
+            Operation::Scan { start, end, limit } => {
+                tree.scan(start, end, *limit);
+            }
+        }
+    }
+    if tree.config().background_maintenance {
+        tree.maintain(4);
+    }
+    let (_, commit_ns) = tree.commit_wal_timed().expect("WAL commit failed");
+    let mut report = collector
+        .report_mission_shards_split(vec![tree.stats()], 0)
+        .0;
+    report.commit_ns = commit_ns;
+    report.commit_busy_ns = commit_ns;
+    let n = tree.level_count();
+    let obs = TreeObservation {
+        policies: tree.policies(),
+        fills: (0..n).map(|i| tree.level_fill(i)).collect(),
+        run_counts: (0..n).map(|i| tree.level_run_count(i)).collect(),
+        size_ratio: tree.config().size_ratio,
+        level_count: n,
+    };
+    let model_before = tuner.model_update_ns();
+    for (level, k) in tuner.tune(&report, &obs) {
+        tree.set_policy(level, k);
+    }
+    report.model_update_ns = tuner.model_update_ns() - model_before;
+    report.policies_after = tree.policies();
+    report
+}
+
 /// Acceptance: for identical op sequences, `ShardedRusKey` with `N = 1` —
 /// running on the worker pool, not an inline fast path — produces the
 /// same mission-report counters (ops, updates, gamma, and the full
-/// virtual-time accounting) as `RusKey`, and serves every mission from
-/// one stable pool thread.
+/// virtual-time accounting) as one tree driven by the paper's mission
+/// loop, and serves every mission from one stable pool thread.
 #[test]
 fn single_shard_mission_counters_equal_ruskey() {
-    let mut single = RusKey::with_tuner(small_cfg(), disk(), Box::new(FixedPolicy::moderate()));
+    let mut single = FlsmTree::try_new(small_cfg().lsm, disk()).unwrap();
+    let mut collector = StatsCollector::new();
+    let mut tuner = FixedPolicy::moderate();
     let mut sharded =
-        ShardedRusKey::with_tuner(small_cfg(), 1, disk(), Box::new(FixedPolicy::moderate()));
+        ShardedRusKey::try_with_tuner(small_cfg(), 1, disk(), Box::new(FixedPolicy::moderate()))
+            .unwrap();
 
     let pairs = bulk_load_pairs(2000, 16, 48, 7);
     single.bulk_load(pairs.clone());
+    collector.baseline_shards(vec![single.stats()]);
     sharded.bulk_load(pairs);
 
     let mut g1 = OpGenerator::new(mixed_spec(2000), 9);
@@ -72,7 +128,7 @@ fn single_shard_mission_counters_equal_ruskey() {
         let ops1 = g1.take_ops(300);
         let ops2 = g2.take_ops(300);
         assert_eq!(ops1, ops2, "generators must agree");
-        let r1 = single.run_mission(&ops1);
+        let r1 = reference_mission(&mut single, &mut collector, &mut tuner, &ops1);
         let r2 = sharded.run_mission(&ops2);
         // The pooled N = 1 path: exactly one worker thread, the same one
         // every mission.
@@ -113,14 +169,14 @@ fn single_shard_mission_counters_equal_ruskey() {
     }
 }
 
-/// Acceptance: `N ∈ {2, 4}` produces identical get/scan results to the
-/// single-tree store — property-style over several seeds, with a
-/// `BTreeMap` reference model double-checking both engines.
+/// Acceptance: `N ∈ {2, 4}` produces identical get/scan results to a
+/// single bare tree — property-style over several seeds, with a
+/// `BTreeMap` reference model double-checking both.
 #[test]
 fn n_shard_store_is_observationally_equivalent() {
     for &shards in &[2usize, 4] {
         for seed in [11u64, 23, 37] {
-            let mut reference = RusKey::untuned(small_cfg(), disk());
+            let mut reference = FlsmTree::try_new(small_cfg().lsm, disk()).unwrap();
             let mut sharded = ShardedRusKey::untuned(small_cfg(), shards, disk());
             let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 

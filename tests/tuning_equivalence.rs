@@ -26,6 +26,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 use ruskey_repro::ruskey::db::RusKeyConfig;
+use ruskey_repro::ruskey::lerp::Lerp;
 use ruskey_repro::ruskey::sharded::{DurabilityConfig, ShardedRusKey, TunerStrategy};
 use ruskey_repro::ruskey::tuner::NoOpTuner;
 use ruskey_repro::storage::{CostModel, SimulatedDisk, Storage};
@@ -99,8 +100,9 @@ fn eager_balance() -> BalanceConfig {
 /// plumbing distorted the signal path.
 #[test]
 fn per_shard_lerp_at_one_shard_is_bit_identical_to_global() {
-    let mut global = ShardedRusKey::with_lerp(tuned_cfg(), 1, disk());
-    let mut per_shard = ShardedRusKey::with_per_shard_lerp(tuned_cfg(), 1, disk());
+    let lerp = Box::new(Lerp::new(tuned_cfg().lerp));
+    let mut global = ShardedRusKey::try_with_tuner(tuned_cfg(), 1, disk(), lerp).unwrap();
+    let mut per_shard = ShardedRusKey::try_with_per_shard_lerp(tuned_cfg(), 1, disk()).unwrap();
     assert_eq!(global.tuner_strategy(), TunerStrategy::Global);
     assert_eq!(per_shard.tuner_strategy(), TunerStrategy::PerShard);
 
